@@ -4,10 +4,13 @@
 // the architectures the paper attributes to Ray RLlib, Stable Baselines and
 // TF-Agents. Backends execute real training (threads, environments, neural
 // updates) while replaying their coordination structure against the
-// simulated cluster for the time/energy metrics.
+// simulated cluster for the time/energy metrics. The frameworks differ only
+// in their schedule (worker layout, parameter versions, where inference is
+// charged) and cost table; one loop runs them all.
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -32,48 +35,71 @@ class Backend {
   virtual TrainResult run(const TrainRequest& request) = 0;
 };
 
-/// Shared machinery of the three backends.
+/// Where nodes 1..N-1 of a run live: how weights reach their workers and
+/// how their batches come back. BackendBase::run_schedule drives every
+/// placement through the same loop (DESIGN.md §17 "One schedule").
+class RemoteNodes {
+ public:
+  /// What the loop knows about a run when it opens the placement.
+  struct Run {
+    const TrainRequest& request;
+    const rl::Algorithm& algo;
+    std::size_t obs_dim;
+    std::size_t action_dim;
+    std::size_t per_worker;  ///< transitions per worker per iteration
+  };
+
+  RemoteNodes() = default;
+  RemoteNodes(const RemoteNodes&) = delete;
+  RemoteNodes& operator=(const RemoteNodes&) = delete;
+  virtual ~RemoteNodes() = default;
+
+  /// Hand parameter version `version` (= `params`) to every remote worker;
+  /// the remote nodes start collecting on it.
+  virtual void sync(std::uint64_t version, const Vec& params) = 0;
+
+  /// Wait for this iteration's batches: one per remote worker, in global
+  /// worker-id order.
+  virtual std::vector<net::BatchMsg> collect() = 0;
+
+  /// Orderly end of a completed run (error paths unwind in the destructor).
+  virtual void finish() {}
+};
+
+/// Opens the placement of a run's remote nodes.
+using PlaceRemote =
+    std::function<std::unique_ptr<RemoteNodes>(const RemoteNodes::Run&)>;
+
+/// Shared machinery of the backends: the one training loop.
 class BackendBase : public Backend {
+ public:
+  /// Train with nodes 1..N-1 as in-process workers on threads.
+  TrainResult run(const TrainRequest& request) override;
+
  protected:
   explicit BackendBase(BackendCosts costs) : costs_(costs) {}
 
-  /// Convert one worker's collection cost into simulated busy core-seconds.
-  double worker_busy_seconds(const CollectCost& cost,
-                             double inference_mflop) const;
-
-  /// Build `n` workers, seeding worker i deterministically from the
-  /// request seed.
-  std::vector<std::unique_ptr<RolloutWorker>> make_workers(
-      const TrainRequest& request, const rl::Algorithm& algo, std::size_t n) const;
-
-  /// Final greedy evaluation on a fresh environment (fixed eval seed), and
-  /// aggregation of training-episode diagnostics into `result`.
-  void finalize(const TrainRequest& request, rl::Algorithm& algo,
-                const std::vector<std::unique_ptr<RolloutWorker>>& workers,
-                const sim::SimCluster& cluster, TrainResult& result) const;
-
-  /// Same, from per-worker episode records instead of live workers — the
-  /// multi-process runtime's remote workers ship their episode records
-  /// over the wire, so the learner finalizes from data, not objects.
-  /// `episodes_per_worker[i]` must be worker i's records in training
-  /// order.
-  void finalize(const TrainRequest& request, rl::Algorithm& algo,
-                const std::vector<std::vector<env::EpisodeRecord>>& episodes_per_worker,
-                const sim::SimCluster& cluster, TrainResult& result) const;
+  /// The training loop of every framework: probe, build the algorithm and
+  /// node 0's workers, then per iteration sync -> collect -> sample
+  /// shipping -> learn with a SimCluster replay, then evaluate. The
+  /// schedule comes from kind() and the deployment; `place` decides where
+  /// nodes 1..N-1 run.
+  TrainResult run_schedule(const TrainRequest& request,
+                           const PlaceRemote& place) const;
 
   BackendCosts costs_;
 };
 
 /// Ray-RLlib-style distributed actor/learner: one rollout worker per core
 /// on every node, samples shipped to the learner on node 0, parameter
-/// broadcasts to remote nodes. Remote workers act with a one-iteration-old
-/// policy snapshot (asynchronous shipping), the mechanism behind the
+/// broadcasts to remote nodes. On more than one node the workers act with
+/// stale policy snapshots (asynchronous shipping), the mechanism behind the
 /// paper's multi-node reward-reproducibility caveat. Supports 1..N nodes.
 class RllibBackend final : public BackendBase {
  public:
-  explicit RllibBackend(BackendCosts costs = default_costs(FrameworkKind::RayRllib));
+  explicit RllibBackend(BackendCosts costs = default_costs(FrameworkKind::RayRllib))
+      : BackendBase(costs) {}
   FrameworkKind kind() const override { return FrameworkKind::RayRllib; }
-  TrainResult run(const TrainRequest& request) override;
 };
 
 /// Stable-Baselines-style single-node vectorized training: one vectorized
@@ -83,9 +109,9 @@ class RllibBackend final : public BackendBase {
 class StableBaselinesBackend final : public BackendBase {
  public:
   explicit StableBaselinesBackend(
-      BackendCosts costs = default_costs(FrameworkKind::StableBaselines));
+      BackendCosts costs = default_costs(FrameworkKind::StableBaselines))
+      : BackendBase(costs) {}
   FrameworkKind kind() const override { return FrameworkKind::StableBaselines; }
-  TrainResult run(const TrainRequest& request) override;
 };
 
 /// TF-Agents-style single-node parallel driver: a fixed total collection
@@ -94,9 +120,9 @@ class StableBaselinesBackend final : public BackendBase {
 class TfAgentsBackend final : public BackendBase {
  public:
   explicit TfAgentsBackend(
-      BackendCosts costs = default_costs(FrameworkKind::TfAgents));
+      BackendCosts costs = default_costs(FrameworkKind::TfAgents))
+      : BackendBase(costs) {}
   FrameworkKind kind() const override { return FrameworkKind::TfAgents; }
-  TrainResult run(const TrainRequest& request) override;
 };
 
 /// Factory over FrameworkKind.

@@ -15,13 +15,10 @@
 #include <vector>
 
 #include "darl/common/error.hpp"
-#include "darl/common/stopwatch.hpp"
-#include "darl/net/param_server.hpp"
 #include "darl/net/queue.hpp"
 #include "darl/net/socket.hpp"
 #include "darl/net/wire.hpp"
 #include "darl/obs/metrics.hpp"
-#include "darl/obs/trace.hpp"
 #include "darl/rl/checkpoint.hpp"
 
 namespace darl::frameworks {
@@ -117,18 +114,240 @@ class ChildReaper {
   std::vector<pid_t> pids_;
 };
 
-/// Reader-side state for one actor connection. The reader thread is the
-/// only writer of `error`/`saw_bye` until it exits; the learner thread
-/// reads them only after join(), so the join is the synchronization.
+/// One actor connection. The reader thread is the only thread that
+/// recv()s on the channel (the learner thread only send()s — the
+/// MsgChannel contract) and the only writer of `error`/`saw_bye` until it
+/// exits; the learner reads them after join(), or after the inbox closes
+/// behind them.
 struct ActorLink {
   net::MsgChannel channel;
   net::BoundedQueue<net::BatchMsg> inbox;
   std::thread reader;
+  std::atomic<bool> stopping{false};  // Stop sent: EOF is now expected
   std::string error;
   bool saw_bye = false;
 
-  explicit ActorLink(std::size_t inbox_capacity) : inbox(inbox_capacity) {}
+  ActorLink(net::MsgChannel ch, std::size_t inbox_capacity)
+      : channel(std::move(ch)), inbox(inbox_capacity) {}
+  ActorLink(const ActorLink&) = delete;
+  ActorLink& operator=(const ActorLink&) = delete;
+
+  /// Unblocks the reader (parked in recv or in a full inbox's push) before
+  /// joining it; after an orderly finish both calls are no-ops.
+  ~ActorLink() {
+    inbox.close();
+    net::shutdown_socket(channel.fd());
+    if (reader.joinable()) reader.join();
+  }
+
+  void read() {
+    try {
+      net::MsgType type;
+      std::string payload;
+      while (channel.recv(type, payload)) {
+        if (type == net::MsgType::Batch) {
+          inbox.push(net::decode_batch_msg(payload));
+        } else if (type == net::MsgType::Bye) {
+          saw_bye = true;
+          break;
+        } else {
+          error = std::string("unexpected ") + net::msg_type_name(type);
+          break;
+        }
+      }
+      if (!saw_bye && error.empty() &&
+          !stopping.load(std::memory_order_acquire)) {
+        error = "actor closed the connection mid-run";
+      }
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    inbox.close();
+  }
 };
+
+/// Nodes 1..N-1 as actor processes, one darl/net link each. Construction
+/// brings the fleet up (listen, spawn, accept + Hello, Job, readers);
+/// sync/collect are the per-iteration Weights-out / Batch-in exchange;
+/// finish() is the orderly Stop/Bye. Any other exit unwinds through the
+/// members: links unblock and join their readers, then spawned actors
+/// are killed and reaped, then the listener closes.
+class SocketNodes final : public RemoteNodes {
+ public:
+  SocketNodes(const DistributedOptions& options, const Run& run);
+
+  void sync(std::uint64_t version, const Vec& params) override;
+  std::vector<net::BatchMsg> collect() override;
+  void finish() override;
+
+ private:
+  const double io_timeout_s_;
+  const std::size_t nodes_;
+  const std::size_t cores_;
+  const rl::AlgoKind algo_;
+  const std::size_t obs_dim_;
+  const std::size_t action_dim_;
+  std::uint64_t shipped_version_ = 0;
+  net::Listener listener_;
+  ChildReaper children_;
+  std::vector<std::unique_ptr<ActorLink>> links_;  // by node; [0] unused
+};
+
+SocketNodes::SocketNodes(const DistributedOptions& options, const Run& run)
+    : io_timeout_s_(options.io_timeout_s),
+      nodes_(run.request.deployment.nodes),
+      cores_(run.request.deployment.cores_per_node),
+      algo_(run.request.algo.kind),
+      obs_dim_(run.obs_dim),
+      action_dim_(run.action_dim),
+      listener_(net::listen_endpoint(
+          net::Endpoint::parse(options.endpoint.empty() ? auto_endpoint()
+                                                        : options.endpoint),
+          static_cast<int>(nodes_))),
+      links_(nodes_) {
+  const std::string bound = listener_.endpoint().str();
+  if (options.spawn_actors) {
+    const std::string bin = options.worker_bin.empty()
+                                ? self_exe_dir() + "/darl_worker"
+                                : options.worker_bin;
+    for (std::size_t node = 1; node < nodes_; ++node) {
+      children_.add(spawn_process(
+          {bin, "--role", "actor", "--connect", bound, "--node",
+           std::to_string(node), "--connect-timeout",
+           std::to_string(options.connect_timeout_s), "--io-timeout",
+           std::to_string(options.io_timeout_s)}));
+    }
+  }
+
+  // Accept one connection per remote node; a missing actor surfaces as a
+  // timeout here, not a hang (SO_RCVTIMEO bounds accept on Linux).
+  net::set_recv_timeout(listener_.fd(), options.connect_timeout_s);
+  for (std::size_t i = 1; i < nodes_; ++i) {
+    net::OwnedFd conn = net::accept_retry(listener_.fd());
+    if (!conn.valid()) {
+      throw net::NetError("timed out waiting for " +
+                          std::to_string(nodes_ - 1) + " actor(s) on " + bound);
+    }
+    DARL_COUNTER_ADD("net.accepts", 1);
+    net::set_io_timeout(conn.get(), options.io_timeout_s);
+    net::MsgChannel ch(std::move(conn));
+    const net::HelloMsg hello =
+        net::decode_hello(ch.expect(net::MsgType::Hello));
+    DARL_CHECK(hello.node >= 1 && hello.node < nodes_,
+               "actor announced node " << hello.node << " outside 1.."
+                                       << nodes_ - 1);
+    DARL_CHECK(links_[hello.node] == nullptr,
+               "two actors announced node " << hello.node);
+    links_[hello.node] = std::make_unique<ActorLink>(
+        std::move(ch), /*inbox_capacity=*/cores_ * 2);
+  }
+
+  // Ship each actor its job, then start its reader.
+  net::JobMsg job;
+  job.algo = algo_;
+  job.hidden = hidden_of(run.request.algo);
+  job.seed = run.request.seed;
+  job.nodes = nodes_;
+  job.cores = cores_;
+  job.per_worker = run.per_worker;
+  job.obs_dim = obs_dim_;
+  job.action_dim = action_dim_;
+  job.env_spec = run.request.env_spec;
+  for (std::size_t node = 1; node < nodes_; ++node) {
+    job.node = node;
+    links_[node]->channel.send(net::MsgType::Job, net::encode_job(job));
+  }
+  for (std::size_t node = 1; node < nodes_; ++node) {
+    ActorLink* link = links_[node].get();
+    link->reader = std::thread([link] { link->read(); });
+  }
+}
+
+void SocketNodes::sync(std::uint64_t version, const Vec& params) {
+  rl::Checkpoint ck;
+  ck.kind = algo_;
+  ck.obs_dim = obs_dim_;
+  ck.action_dim = action_dim_;
+  ck.params = params;
+  std::ostringstream os;
+  rl::save_checkpoint(os, ck);
+  net::WeightsMsg weights;
+  weights.version = version;
+  weights.checkpoint = os.str();
+  const std::string payload = net::encode_weights(weights);
+  for (std::size_t node = 1; node < nodes_; ++node) {
+    links_[node]->channel.send(net::MsgType::Weights, payload);
+    DARL_COUNTER_ADD("net.weights_published", 1);
+  }
+  shipped_version_ = version;
+}
+
+std::vector<net::BatchMsg> SocketNodes::collect() {
+  std::vector<net::BatchMsg> batches;
+  batches.reserve((nodes_ - 1) * cores_);
+  for (std::size_t node = 1; node < nodes_; ++node) {
+    ActorLink& link = *links_[node];
+    const std::string who = "actor node " + std::to_string(node);
+    // A worker id off the wire indexes learner state: accept only the
+    // sender's own workers, once each per iteration.
+    const std::uint64_t first = node * cores_;
+    std::vector<bool> seen(cores_, false);
+    for (std::size_t c = 0; c < cores_; ++c) {
+      net::BatchMsg msg;
+      const net::QueueOutcome got = link.inbox.pop(msg, io_timeout_s_);
+      if (got != net::QueueOutcome::Ok) {
+        throw net::NetError(who + ": " +
+                            (got == net::QueueOutcome::TimedOut
+                                 ? std::string("timed out waiting for a batch")
+                                 : link.error));
+      }
+      if (msg.worker < first || msg.worker - first >= cores_) {
+        throw net::NetError(who + " sent a batch for worker " +
+                            std::to_string(msg.worker) +
+                            ", outside its workers " + std::to_string(first) +
+                            ".." + std::to_string(first + cores_ - 1));
+      }
+      if (seen[msg.worker - first]) {
+        throw net::NetError(who + " sent worker " + std::to_string(msg.worker) +
+                            "'s batch twice in one iteration");
+      }
+      seen[msg.worker - first] = true;
+      if (msg.version != shipped_version_) {
+        throw net::NetError(who + ": batch from worker " +
+                            std::to_string(msg.worker) + " carries version " +
+                            std::to_string(msg.version) + ", expected " +
+                            std::to_string(shipped_version_));
+      }
+      batches.push_back(std::move(msg));
+    }
+  }
+  // Deterministic consumption order regardless of arrival order.
+  std::sort(batches.begin(), batches.end(),
+            [](const net::BatchMsg& a, const net::BatchMsg& b) {
+              return a.worker < b.worker;
+            });
+  return batches;
+}
+
+void SocketNodes::finish() {
+  // Stop out, Bye back, readers drain.
+  for (std::size_t node = 1; node < nodes_; ++node) {
+    links_[node]->stopping.store(true, std::memory_order_release);
+    links_[node]->channel.send(net::MsgType::Stop, std::string());
+  }
+  for (std::size_t node = 1; node < nodes_; ++node) {
+    links_[node]->reader.join();
+  }
+  for (std::size_t node = 1; node < nodes_; ++node) {
+    if (!links_[node]->error.empty()) {
+      throw net::NetError("actor node " + std::to_string(node) + ": " +
+                          links_[node]->error);
+    }
+    DARL_CHECK(links_[node]->saw_bye,
+               "actor node " << node << " never sent Bye");
+  }
+  children_.wait_all();
+}
 
 }  // namespace
 
@@ -137,365 +356,15 @@ DistributedRllibBackend::DistributedRllibBackend(DistributedOptions options,
     : BackendBase(costs), options_(std::move(options)) {}
 
 TrainResult DistributedRllibBackend::run(const TrainRequest& request) {
-  const auto& dep = request.deployment;
-  DARL_CHECK(dep.nodes >= 2,
+  DARL_CHECK(request.deployment.nodes >= 2,
              "DistributedRllibBackend needs >= 2 nodes (single-node jobs "
              "stay in-process)");
-  DARL_CHECK(dep.cores_per_node >= 1, "invalid deployment "
-                                          << dep.nodes << "x"
-                                          << dep.cores_per_node);
-  DARL_CHECK(request.total_timesteps > 0, "no timesteps requested");
   DARL_CHECK(!request.env_spec.empty(),
              "distributed run needs TrainRequest::env_spec (the remote "
              "actors rebuild the environment from it)");
-
-  Stopwatch wall;
-
-  // Probe the environment interface (same as the in-process backend).
-  auto probe = request.env_factory();
-  const std::size_t obs_dim = probe->observation_space().dim();
-  const env::ActionSpace action_space = probe->action_space();
-  probe.reset();
-
-  auto algo = rl::make_algorithm(request.algo, obs_dim, action_space,
-                                 Rng(request.seed).split(1).seed());
-
-  const std::size_t cores = dep.cores_per_node;
-  const std::size_t n_workers = dep.nodes * cores;
-  const std::size_t n_remote = dep.nodes - 1;
-  // Node 0's workers run in-process on threads with their global ids
-  // (0..cores-1), seeded exactly as the in-process backend seeds them.
-  auto workers = make_workers(request, *algo, cores);
-
-  sim::SimCluster cluster(sim::ClusterSpec::paper_testbed(dep.nodes, cores));
-  const double inference_mflop = algo->make_actor()->inference_cost_mflop();
-
-  const std::size_t per_worker =
-      std::max<std::size_t>(1, request.train_batch_total / n_workers);
-
-  // --- bring the actor fleet up -------------------------------------------
-  const std::string endpoint_str =
-      options_.endpoint.empty() ? auto_endpoint() : options_.endpoint;
-  net::Listener listener = net::listen_endpoint(
-      net::Endpoint::parse(endpoint_str), static_cast<int>(dep.nodes));
-  const std::string bound = listener.endpoint().str();
-
-  ChildReaper children;
-  if (options_.spawn_actors) {
-    const std::string bin = options_.worker_bin.empty()
-                                ? self_exe_dir() + "/darl_worker"
-                                : options_.worker_bin;
-    for (std::size_t node = 1; node < dep.nodes; ++node) {
-      children.add(spawn_process(
-          {bin, "--role", "actor", "--connect", bound, "--node",
-           std::to_string(node), "--connect-timeout",
-           std::to_string(options_.connect_timeout_s), "--io-timeout",
-           std::to_string(options_.io_timeout_s)}));
-    }
-  }
-
-  // Accept one connection per remote node; a missing actor surfaces as a
-  // timeout here, not a hang (SO_RCVTIMEO bounds accept on Linux).
-  net::set_recv_timeout(listener.fd(), options_.connect_timeout_s);
-  std::vector<std::unique_ptr<ActorLink>> links(dep.nodes);  // [0] unused
-  for (std::size_t i = 0; i < n_remote; ++i) {
-    net::OwnedFd conn = net::accept_retry(listener.fd());
-    if (!conn.valid()) {
-      throw net::NetError("timed out waiting for " +
-                          std::to_string(n_remote) + " actor(s) on " + bound);
-    }
-    DARL_COUNTER_ADD("net.accepts", 1);
-    net::set_io_timeout(conn.get(), options_.io_timeout_s);
-    net::MsgChannel ch(std::move(conn));
-    const net::HelloMsg hello =
-        net::decode_hello(ch.expect(net::MsgType::Hello));
-    DARL_CHECK(hello.node >= 1 && hello.node < dep.nodes,
-               "actor announced node " << hello.node << " outside 1.."
-                                       << dep.nodes - 1);
-    DARL_CHECK(links[hello.node] == nullptr,
-               "two actors announced node " << hello.node);
-    auto link = std::make_unique<ActorLink>(/*inbox_capacity=*/cores * 2);
-    link->channel = std::move(ch);
-    links[hello.node] = std::move(link);
-  }
-
-  // Ship each actor its job.
-  net::JobMsg job;
-  job.algo = request.algo.kind;
-  job.hidden = hidden_of(request.algo);
-  job.seed = request.seed;
-  job.nodes = dep.nodes;
-  job.cores = cores;
-  job.per_worker = per_worker;
-  job.obs_dim = obs_dim;
-  job.action_dim = action_space.action_dim();
-  job.env_spec = request.env_spec;
-  for (std::size_t node = 1; node < dep.nodes; ++node) {
-    job.node = node;
-    links[node]->channel.send(net::MsgType::Job, net::encode_job(job));
-  }
-
-  // One reader thread per connection: the only thread that recv()s on the
-  // channel (the learner thread only send()s — the MsgChannel contract).
-  std::atomic<bool> stop_sent{false};
-  for (std::size_t node = 1; node < dep.nodes; ++node) {
-    ActorLink* link = links[node].get();
-    link->reader = std::thread([link, &stop_sent] {
-      try {
-        net::MsgType type;
-        std::string payload;
-        while (link->channel.recv(type, payload)) {
-          if (type == net::MsgType::Batch) {
-            link->inbox.push(net::decode_batch_msg(payload));
-          } else if (type == net::MsgType::Bye) {
-            link->saw_bye = true;
-            break;
-          } else {
-            link->error = std::string("unexpected ") + net::msg_type_name(type);
-            break;
-          }
-        }
-        if (!link->saw_bye && link->error.empty() &&
-            !stop_sent.load(std::memory_order_acquire)) {
-          link->error = "actor closed the connection mid-run";
-        }
-      } catch (const std::exception& e) {
-        link->error = e.what();
-      }
-      link->inbox.close();
-    });
-  }
-  const auto join_readers = [&links, &dep] {
-    for (std::size_t node = 1; node < dep.nodes; ++node) {
-      if (links[node]->reader.joinable()) links[node]->reader.join();
-    }
-  };
-
-  // --- training loop (the in-process schedule, over the wire) -------------
-  TrainResult result;
-  try {
-    // The parameter-server endpoint: every snapshot goes into the
-    // serve::PolicyStore hot-swap chain and the retention ring the wire
-    // ships from. Version v = parameters after v train calls.
-    net::ParamServer pserver(request.algo.kind, obs_dim,
-                             action_space.action_dim(), action_space,
-                             hidden_of(request.algo));
-    Vec params_current = algo->policy_params();
-    Vec params_prev = params_current;
-    pserver.publish(params_current);  // v0
-
-    // Remote episode records accumulate per global worker id for the final
-    // diagnostics (local workers keep their own).
-    std::vector<std::vector<env::EpisodeRecord>> remote_episodes(n_workers);
-    std::vector<net::BatchMsg> delayed_remote;
-    double staleness_sum = 0.0;
-    std::size_t staleness_batches = 0;
-
-    std::size_t steps_done = 0;
-    rl::TrainStats last_stats;
-    const std::int64_t obs_trial = obs::current_trial();
-
-    while (steps_done < request.total_timesteps) {
-      const std::uint64_t t = result.iterations;
-      Stopwatch phase;
-
-      // --- policy sync: local workers read v_{max(t-1,0)} directly; remote
-      // actors receive v_{max(t-2,0)} as checkpoint-v2 text — the
-      // asynchronous-pipeline schedule, now over a real socket. The
-      // simulated broadcast is the same run_transfer the in-process
-      // backend issues.
-      {
-        DARL_SPAN("backend.sync");
-        for (auto& w : workers) w->sync(params_prev);
-        const std::uint64_t remote_version = t >= 2 ? t - 2 : 0;
-        net::WeightsMsg weights;
-        weights.version = remote_version;
-        weights.checkpoint = pserver.checkpoint_text(remote_version);
-        const std::string payload = net::encode_weights(weights);
-        for (std::size_t node = 1; node < dep.nodes; ++node) {
-          links[node]->channel.send(net::MsgType::Weights, payload);
-          cluster.run_transfer(0, node,
-                               static_cast<double>(algo->params_bytes()));
-        }
-      }
-      result.sync_wall_seconds += phase.seconds();
-      phase.reset();
-
-      // --- collection: local workers on threads; remote batches pulled
-      // from the per-connection inboxes (bounded — a slow learner
-      // backpressures the actors through the transport).
-      std::vector<rl::WorkerBatch> local_batches(cores);
-      std::vector<net::BatchMsg> remote_batches;
-      {
-        DARL_SPAN("backend.collect");
-        std::vector<std::thread> threads;
-        threads.reserve(cores);
-        for (std::size_t i = 0; i < cores; ++i) {
-          threads.emplace_back([&, i] {
-            obs::TrialScope tag(obs_trial);
-            local_batches[i] = workers[i]->collect(per_worker);
-          });
-        }
-        remote_batches.reserve(n_remote * cores);
-        for (std::size_t node = 1; node < dep.nodes; ++node) {
-          for (std::size_t c = 0; c < cores; ++c) {
-            net::BatchMsg msg;
-            const net::QueueOutcome got =
-                links[node]->inbox.pop(msg, options_.io_timeout_s);
-            if (got != net::QueueOutcome::Ok) {
-              for (auto& th : threads) th.join();
-              const std::string why = got == net::QueueOutcome::TimedOut
-                                          ? "timed out waiting for a batch"
-                                          : links[node]->error;
-              throw net::NetError("actor node " + std::to_string(node) +
-                                  ": " + why);
-            }
-            remote_batches.push_back(std::move(msg));
-          }
-        }
-        for (auto& th : threads) th.join();
-
-        // Deterministic consumption order regardless of arrival order.
-        std::sort(remote_batches.begin(), remote_batches.end(),
-                  [](const net::BatchMsg& a, const net::BatchMsg& b) {
-                    return a.worker < b.worker;
-                  });
-        const std::uint64_t expect_version = t >= 2 ? t - 2 : 0;
-        for (auto& msg : remote_batches) {
-          DARL_CHECK(msg.version == expect_version,
-                     "batch from worker " << msg.worker << " carries version "
-                                          << msg.version << ", expected "
-                                          << expect_version);
-          auto& eps = remote_episodes[msg.worker];
-          eps.insert(eps.end(), msg.episodes.begin(), msg.episodes.end());
-        }
-
-        // Simulated collection phase: identical WorkerLoad sequence to the
-        // in-process backend (global worker id order).
-        std::vector<sim::SimCluster::WorkerLoad> loads;
-        loads.reserve(n_workers);
-        for (std::size_t i = 0; i < cores; ++i) {
-          const CollectCost cost = workers[i]->take_cost();
-          loads.push_back({0, worker_busy_seconds(cost, inference_mflop)});
-        }
-        for (const auto& msg : remote_batches) {
-          const CollectCost cost{msg.env_cost_units,
-                                 static_cast<std::size_t>(msg.inferences),
-                                 static_cast<std::size_t>(msg.steps)};
-          loads.push_back({msg.worker / cores,
-                           worker_busy_seconds(cost, inference_mflop)});
-        }
-        cluster.run_parallel_phase(loads);
-      }
-      result.collect_wall_seconds += phase.seconds();
-      phase.reset();
-
-      // --- sample shipping (reported cost; the real bytes already flowed).
-      {
-        DARL_SPAN("backend.sync");
-        for (std::size_t node = 1; node < dep.nodes; ++node) {
-          double bytes = 0.0;
-          for (const auto& msg : remote_batches) {
-            if (msg.worker / cores == node) {
-              bytes += static_cast<double>(msg.transitions.size()) *
-                       static_cast<double>(algo->transition_bytes());
-            }
-          }
-          cluster.run_transfer(node, 0, bytes);
-        }
-      }
-      result.sync_wall_seconds += phase.seconds();
-      phase.reset();
-
-      // --- learner update: last iteration's remote batches first (their
-      // wire version tags feed the staleness account), then fresh local
-      // batches — the in-process consumption order.
-      {
-        DARL_SPAN("backend.learn");
-        std::vector<rl::WorkerBatch> train_batches;
-        train_batches.reserve(delayed_remote.size() + cores);
-        for (auto& msg : delayed_remote) {
-          staleness_sum += static_cast<double>(t - msg.version);
-          ++staleness_batches;
-          train_batches.push_back(
-              rl::WorkerBatch{static_cast<std::size_t>(msg.worker),
-                              std::move(msg.transitions)});
-        }
-        delayed_remote = std::move(remote_batches);
-        const std::uint64_t local_version = t >= 1 ? t - 1 : 0;
-        for (std::size_t i = 0; i < cores; ++i) {
-          staleness_sum += static_cast<double>(t - local_version);
-          ++staleness_batches;
-          train_batches.push_back(std::move(local_batches[i]));
-        }
-        last_stats = algo->train(train_batches);
-        const double train_core_seconds = cluster.seconds_for_mflop(
-            0, last_stats.train_cost_mflop * costs_.train_tax);
-        cluster.run_compute(0, train_core_seconds, cores,
-                            costs_.train_parallel_efficiency);
-        cluster.run_idle(costs_.iteration_overhead_s);
-        params_prev = std::move(params_current);
-        params_current = algo->policy_params();
-        pserver.publish(params_current);  // v_{t+1}
-      }
-      result.learn_wall_seconds += phase.seconds();
-
-      steps_done += per_worker * n_workers;
-      ++result.iterations;
-      if (staleness_batches > 0) {
-        DARL_GAUGE_SET("net.staleness",
-                       staleness_sum / static_cast<double>(staleness_batches));
-      }
-    }
-
-    // --- orderly shutdown: Stop out, Bye back, readers drain.
-    stop_sent.store(true, std::memory_order_release);
-    for (std::size_t node = 1; node < dep.nodes; ++node) {
-      links[node]->channel.send(net::MsgType::Stop, std::string());
-    }
-    join_readers();
-    for (std::size_t node = 1; node < dep.nodes; ++node) {
-      if (!links[node]->error.empty()) {
-        throw net::NetError("actor node " + std::to_string(node) + ": " +
-                            links[node]->error);
-      }
-      DARL_CHECK(links[node]->saw_bye,
-                 "actor node " << node << " never sent Bye");
-    }
-    if (options_.spawn_actors) children.wait_all();
-
-    result.timesteps = steps_done;
-    result.net_staleness =
-        staleness_batches > 0
-            ? staleness_sum / static_cast<double>(staleness_batches)
-            : 0.0;
-    result.final_policy_loss = last_stats.policy_loss;
-    result.final_value_loss = last_stats.value_loss;
-    result.final_entropy = last_stats.entropy;
-
-    std::vector<std::vector<env::EpisodeRecord>> episodes_per_worker;
-    episodes_per_worker.reserve(n_workers);
-    for (std::size_t i = 0; i < n_workers; ++i) {
-      episodes_per_worker.push_back(i < cores ? workers[i]->episodes()
-                                              : remote_episodes[i]);
-    }
-    finalize(request, *algo, episodes_per_worker, cluster, result);
-  } catch (...) {
-    // Unblock and reap the readers before ~ActorLink (a reader may be
-    // parked in recv or in a full inbox's push); ChildReaper kills any
-    // spawned actors on unwind.
-    for (auto& link : links) {
-      if (link) {
-        link->inbox.close();
-        net::shutdown_socket(link->channel.fd());
-      }
-    }
-    join_readers();
-    throw;
-  }
-
-  result.wall_seconds = wall.seconds();
-  return result;
+  return run_schedule(request, [this](const RemoteNodes::Run& run) {
+    return std::make_unique<SocketNodes>(options_, run);
+  });
 }
 
 std::size_t run_actor(const std::string& endpoint, std::size_t node,
@@ -543,20 +412,8 @@ std::size_t run_actor(const std::string& endpoint, std::size_t node,
   auto algo = rl::make_algorithm(spec, obs_dim, action_space,
                                  Rng(job.seed).split(1).seed());
 
-  // This node's workers, with their *global* ids and the exact per-id
-  // seed streams the in-process backend derives.
-  const std::size_t cores = job.cores;
-  const Rng seeder(job.seed);
-  std::vector<std::unique_ptr<RolloutWorker>> workers;
-  std::vector<std::size_t> shipped_episodes(cores, 0);
-  workers.reserve(cores);
-  for (std::size_t c = 0; c < cores; ++c) {
-    const std::size_t gid = node * cores + c;
-    auto e = factory();
-    DARL_CHECK(e != nullptr, "env factory returned null");
-    workers.push_back(std::make_unique<RolloutWorker>(
-        gid, std::move(e), algo->make_actor(), seeder.split(100 + gid).seed()));
-  }
+  // This node's workers, with their global ids and seed streams.
+  WorkerGroup workers(factory, *algo, job.seed, node * job.cores, job.cores);
 
   // Outbound queue: collection threads block once two batches are in
   // flight, so a slow learner throttles the actor instead of growing an
@@ -595,30 +452,11 @@ std::size_t run_actor(const std::string& endpoint, std::size_t node,
       DARL_CHECK(ck.kind == job.algo && ck.obs_dim == obs_dim,
                  "shipped checkpoint does not match the job interface");
 
-      std::vector<std::thread> threads;
-      threads.reserve(cores);
-      for (std::size_t c = 0; c < cores; ++c) {
-        threads.emplace_back([&, c] {
-          RolloutWorker& w = *workers[c];
-          w.sync(ck.params);
-          net::BatchMsg msg;
-          msg.worker = node * cores + c;
-          msg.version = weights.version;
-          rl::WorkerBatch batch = w.collect(job.per_worker);
-          msg.transitions = std::move(batch.transitions);
-          const CollectCost cost = w.take_cost();
-          msg.env_cost_units = cost.env_cost_units;
-          msg.inferences = cost.inferences;
-          msg.steps = cost.steps;
-          const auto& eps = w.episodes();
-          msg.episodes.assign(eps.begin() + static_cast<std::ptrdiff_t>(
-                                                shipped_episodes[c]),
-                              eps.end());
-          shipped_episodes[c] = eps.size();
-          outbox.push(std::move(msg));
-        });
-      }
-      for (auto& th : threads) th.join();
+      workers.sync(ck.params);
+      workers.collect(job.per_worker, weights.version,
+                      [&outbox](net::BatchMsg batch) {
+                        outbox.push(std::move(batch));
+                      });
       // A dead sender shows up as a closed outbox; its reason
       // (send_error) is only safe to read after the join below.
       if (outbox.closed()) break;
@@ -643,11 +481,6 @@ std::size_t run_actor(const std::string& endpoint, std::size_t node,
 std::unique_ptr<Backend> make_distributed_backend(
     const DistributedOptions& options) {
   return std::make_unique<DistributedRllibBackend>(options);
-}
-
-std::unique_ptr<Backend> make_distributed_backend(
-    const DistributedOptions& options, const BackendCosts& costs) {
-  return std::make_unique<DistributedRllibBackend>(options, costs);
 }
 
 }  // namespace darl::frameworks

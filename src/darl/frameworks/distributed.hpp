@@ -1,26 +1,23 @@
 // darl/frameworks/distributed.hpp
 //
-// The multi-process actor–learner runtime (DESIGN.md §17): the same
-// coordination schedule as RllibBackend, but remote workers live in real
+// The multi-process actor–learner runtime (DESIGN.md §17): the RLlib
+// schedule of BackendBase::run_schedule with nodes 1..N-1 placed in real
 // actor processes connected over darl/net sockets instead of threads in
-// the learner's address space. The learner publishes versioned weights
-// through net::ParamServer (serve::PolicyStore hot-swap chain underneath),
-// ships version max(t-2, 0) to remote actors at iteration t, and consumes
-// their batches one iteration late — exactly the in-process pipeline —
-// so reported-cost accounting stays in simcluster and campaign CSVs are
-// byte-identical between the two substrates.
+// the learner's address space. The loop is the in-process one, so remote
+// actors receive version max(t-2, 0) at iteration t, their batches are
+// consumed one iteration late, reported-cost accounting stays in
+// simcluster, and campaign CSVs are byte-identical between the two
+// placements.
 //
-// Determinism contract (why the CSVs match bit for bit):
-//   * worker i everywhere seeds from Rng(seed).split(100 + i), the
-//     learner's algorithm from split(1) — same streams as make_workers.
+// What the wire adds to the determinism contract:
+//   * worker i seeds from the same per-id stream in whichever process
+//     hosts it (WorkerGroup), the learner's algorithm from split(1).
 //   * weights travel as checkpoint-v2 text at round-trip precision and
 //     batches as precision-17 token streams, so every double is bitwise
 //     preserved across the wire.
-//   * the learner consumes delayed remote batches sorted by worker id,
-//     then local batches in id order — the push order of the in-process
-//     loop.
-//   * simulated time/energy come from the identical sequence of
-//     SimCluster calls; the wall clock never feeds a metric.
+//   * the learner rejects a batch whose worker id lies outside its
+//     sender's node or repeats within an iteration, then sorts the rest by
+//     worker id — the order the in-process placement produces.
 
 #pragma once
 
@@ -68,11 +65,10 @@ struct DistributedOptions {
   double io_timeout_s = 120.0;
 };
 
-/// RllibBackend's schedule over real processes: local node-0 workers on
+/// RllibBackend's schedule over real processes: node 0's workers on
 /// threads, one actor process per remote node, weights out / batches in
-/// over length-prefixed frames, per-batch staleness accounted from the
-/// version tags actually carried on the wire (and published to
-/// net.staleness). Requires nodes >= 2 and a non-empty
+/// over length-prefixed frames, per-batch staleness taken from the version
+/// tags carried on the wire. Requires nodes >= 2 and a non-empty
 /// TrainRequest::env_spec.
 class DistributedRllibBackend final : public BackendBase {
  public:
@@ -101,7 +97,5 @@ std::size_t run_actor(const std::string& endpoint, std::size_t node,
 /// Factory mirroring make_backend.
 std::unique_ptr<Backend> make_distributed_backend(
     const DistributedOptions& options);
-std::unique_ptr<Backend> make_distributed_backend(
-    const DistributedOptions& options, const BackendCosts& costs);
 
 }  // namespace darl::frameworks

@@ -156,4 +156,71 @@ const std::vector<env::EpisodeRecord>& RolloutWorker::episodes() const {
   return env_->episodes();
 }
 
+WorkerGroup::WorkerGroup(const env::EnvFactory& factory,
+                         const rl::Algorithm& algo, std::uint64_t seed,
+                         std::size_t first_id, std::size_t count)
+    : first_id_(first_id), shipped_episodes_(count, 0), errors_(count) {
+  const Rng seeder(seed);
+  workers_.reserve(count);
+  for (std::size_t id = first_id; id < first_id + count; ++id) {
+    auto e = factory();
+    DARL_CHECK(e != nullptr, "env factory returned null");
+    workers_.push_back(std::make_unique<RolloutWorker>(
+        id, std::move(e), algo.make_actor(), seeder.split(100 + id).seed()));
+  }
+}
+
+void WorkerGroup::sync(const Vec& params) {
+  for (auto& w : workers_) w->sync(params);
+}
+
+void WorkerGroup::start_collect(std::size_t n_steps, std::uint64_t version,
+                                Sink sink) {
+  DARL_ASSERT(running_.empty(), "start_collect while a collection runs");
+  // Spans on the collection threads re-tag themselves with the caller's
+  // trial (thread-locals do not inherit).
+  const std::int64_t trial = obs::current_trial();
+  running_.reserve(workers_.size());
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    running_.emplace_back([this, i, n_steps, version, trial, sink] {
+      try {
+        obs::TrialScope tag(trial);
+        RolloutWorker& w = *workers_[i];
+        net::BatchMsg msg;
+        msg.worker = w.id();
+        msg.version = version;
+        msg.transitions = w.collect(n_steps).transitions;
+        const CollectCost cost = w.take_cost();
+        msg.env_cost_units = cost.env_cost_units;
+        msg.inferences = cost.inferences;
+        msg.steps = cost.steps;
+        const auto& eps = w.episodes();
+        msg.episodes.assign(
+            eps.begin() + static_cast<std::ptrdiff_t>(shipped_episodes_[i]),
+            eps.end());
+        shipped_episodes_[i] = eps.size();
+        sink(std::move(msg));
+      } catch (...) {
+        errors_[i] = std::current_exception();
+      }
+    });
+  }
+}
+
+void WorkerGroup::wait() {
+  running_.clear();  // joins
+  std::exception_ptr first;
+  for (auto& error : errors_) {
+    if (!first) first = error;
+    error = nullptr;
+  }
+  if (first) std::rethrow_exception(first);
+}
+
+void WorkerGroup::collect(std::size_t n_steps, std::uint64_t version,
+                          Sink sink) {
+  start_collect(n_steps, version, std::move(sink));
+  wait();
+}
+
 }  // namespace darl::frameworks

@@ -3,9 +3,14 @@
 // paper attributes to each framework (multi-node speedup, vectorization
 // coupling, single-node power advantage).
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "darl/common/error.hpp"
+#include "darl/common/rng.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/pendulum.hpp"
 #include "darl/env/wrappers.hpp"
@@ -304,6 +309,34 @@ TEST(Backends, EpisodesComeFromAllWorkers) {
   EXPECT_GE(r.episodes, 16u);
 }
 
+/// CartPole whose `fail_at`-th step throws.
+class FailingEnv final : public env::EnvWrapper {
+ public:
+  explicit FailingEnv(std::size_t fail_at)
+      : EnvWrapper(env::make_cartpole_factory(100)()), fail_at_(fail_at) {}
+  env::StepResult step(const Vec& action) override {
+    if (++steps_ == fail_at_) throw Error("env step failed");
+    return EnvWrapper::step(action);
+  }
+
+ private:
+  std::size_t fail_at_;
+  std::size_t steps_ = 0;
+};
+
+TEST(Backends, CollectionFailureSurfacesAsAnError) {
+  // 2x2: the factory builds the probe, workers 0..3, then the eval env;
+  // only worker 2 (node 1, the remote placement) gets a failing env.
+  TrainRequest req = small_request(FrameworkKind::RayRllib, 2, 2);
+  auto made = std::make_shared<std::size_t>(0);
+  req.env_factory = [made]() -> std::unique_ptr<env::Env> {
+    if ((*made)++ == 3) return std::make_unique<FailingEnv>(50);
+    return env::make_cartpole_factory(100)();
+  };
+  RllibBackend backend;
+  EXPECT_THROW(backend.run(req), Error);
+}
+
 TEST(Backends, FinalPolicyDeploysIntoMatchingActor) {
   StableBaselinesBackend backend;
   TrainRequest req = small_request(FrameworkKind::StableBaselines, 1, 2);
@@ -326,7 +359,7 @@ TEST(Backends, FinalPolicyDeploysIntoMatchingActor) {
   EXPECT_GT(eval.mean_total_reward, 9.0);  // CartPole: beyond trivial falls
 }
 
-TEST(Backends, SacRunsThroughBackends) {
+TrainRequest pendulum_sac_request() {
   TrainRequest req;
   req.env_factory = [] {
     return std::make_unique<env::TimeLimit>(
@@ -341,13 +374,76 @@ TEST(Backends, SacRunsThroughBackends) {
   req.train_batch_total = 128;
   req.steps_per_env = 64;
   req.eval_episodes = 2;
+  return req;
+}
 
+TEST(Backends, SacRunsThroughBackends) {
+  const TrainRequest req = pendulum_sac_request();
   for (const auto kind : {FrameworkKind::RayRllib, FrameworkKind::StableBaselines,
                           FrameworkKind::TfAgents}) {
     auto backend = make_backend(kind);
     const TrainResult r = backend->run(req);
     EXPECT_GE(r.timesteps, 512u) << framework_name(kind);
     EXPECT_LT(r.reward, 0.0) << framework_name(kind);  // Pendulum is negative
+  }
+}
+
+// Little-endian bytes of every TrainResult field that a campaign can see:
+// everything except the four host wall-clock fields.
+std::uint64_t result_digest(const TrainResult& r) {
+  std::string bytes;
+  const auto put_u64 = [&bytes](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto put_f64 = [&put_u64](double d) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, &d, sizeof v);
+    put_u64(v);
+  };
+  for (const double d : {r.reward, r.sim_seconds, r.sim_energy_joules,
+                         r.reward_stddev, r.train_reward, r.net_staleness,
+                         r.final_policy_loss, r.final_value_loss,
+                         r.final_entropy})
+    put_f64(d);
+  for (const std::size_t n : {r.timesteps, r.episodes, r.iterations}) put_u64(n);
+  put_u64(r.final_policy.size());
+  for (std::size_t i = 0; i < r.final_policy.size(); ++i) put_f64(r.final_policy[i]);
+  return fnv1a64(bytes);
+}
+
+// Digests recorded before the four per-framework loops were folded into
+// one schedule (DESIGN.md §17 "One schedule"): the shared loop must
+// reproduce each framework's result bit for bit.
+TEST(Backends, TrainResultBitsArePinned) {
+  struct Case {
+    const char* name;
+    FrameworkKind kind;
+    TrainRequest request;
+    std::uint64_t digest;
+  };
+  TrainRequest impala = small_request(FrameworkKind::RayRllib, 2, 2);
+  impala.algo.kind = rl::AlgoKind::IMPALA;
+  impala.train_batch_total = 256;
+  const std::vector<Case> cases = {
+      {"rllib_1x2", FrameworkKind::RayRllib,
+       small_request(FrameworkKind::RayRllib, 1, 2), 0x3e21cfe53ff6d351ull},
+      {"rllib_2x2", FrameworkKind::RayRllib,
+       small_request(FrameworkKind::RayRllib, 2, 2), 0xbd168e0c863048e4ull},
+      {"rllib_3x2", FrameworkKind::RayRllib,
+       small_request(FrameworkKind::RayRllib, 3, 2), 0x38f3674abc474443ull},
+      {"sb_1x2", FrameworkKind::StableBaselines,
+       small_request(FrameworkKind::StableBaselines, 1, 2), 0xde0e18629941f1f4ull},
+      {"tfa_1x2", FrameworkKind::TfAgents,
+       small_request(FrameworkKind::TfAgents, 1, 2), 0xe403aec148b889bdull},
+      {"rllib_impala_2x2", FrameworkKind::RayRllib, impala, 0x31ac6e18e6b13d89ull},
+      {"rllib_sac", FrameworkKind::RayRllib, pendulum_sac_request(), 0x7c4ef386730495aeull},
+      {"sb_sac", FrameworkKind::StableBaselines, pendulum_sac_request(), 0x926b094264528a2bull},
+      {"tfa_sac", FrameworkKind::TfAgents, pendulum_sac_request(), 0xd16edc2c035a5d85ull},
+  };
+  for (const Case& c : cases) {
+    const TrainResult r = make_backend(c.kind)->run(c.request);
+    EXPECT_EQ(result_digest(r), c.digest)
+        << c.name << ": 0x" << std::hex << result_digest(r);
   }
 }
 

@@ -2,15 +2,20 @@
 // actor–learner runtime: endpoint parsing, frame integrity over a real
 // socketpair (round-trips, truncation, digest mismatch, fragmentation,
 // connection reset mid-message), the wire codec for every message type,
-// the bounded queue, the parameter-server ring, and the acceptance bar —
+// the bounded queue, the learner's checks on what actors send, and the
+// acceptance bar —
 // a loopback 2-actor training run whose TrainResult matches the
 // in-process backend bit for bit (DESIGN.md §17).
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -26,7 +31,6 @@
 #include "darl/frameworks/backend.hpp"
 #include "darl/frameworks/distributed.hpp"
 #include "darl/net/frame.hpp"
-#include "darl/net/param_server.hpp"
 #include "darl/net/queue.hpp"
 #include "darl/net/socket.hpp"
 #include "darl/net/wire.hpp"
@@ -457,44 +461,6 @@ TEST(NetQueue, BlockedPopWakesOnPush) {
 }
 
 // ---------------------------------------------------------------------------
-// ParamServer
-
-TEST(NetParamServer, PublishesVersionedCheckpointsThroughTheStore) {
-  const env::ActionSpace space{env::DiscreteSpace(3)};
-  rl::AlgorithmSpec spec;
-  auto algo = rl::make_algorithm(spec, /*obs_dim=*/4, space, /*seed=*/9);
-
-  net::ParamServer ps(rl::AlgoKind::PPO, 4, space.action_dim(), space,
-                      spec.ppo.hidden);
-  const Vec v0 = algo->policy_params();
-  EXPECT_EQ(ps.publish(v0), 0u);
-  Vec v1 = v0;
-  v1[0] += 1.0;
-  EXPECT_EQ(ps.publish(v1), 1u);
-  EXPECT_EQ(ps.latest_version(), 1u);
-
-  // Shipped text loads back to the exact published parameters.
-  std::istringstream is(ps.checkpoint_text(0));
-  const rl::Checkpoint ck = rl::load_checkpoint(is);
-  ASSERT_EQ(ck.params.size(), v0.size());
-  for (std::size_t i = 0; i < v0.size(); ++i) EXPECT_EQ(ck.params[i], v0[i]);
-
-  // The store's hot-swap chain tracks the newest publication
-  // (store versions are logical + 1).
-  const auto handle = ps.store().current(net::ParamServer::kTenant);
-  ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(handle->id, 2u);
-
-  // Old versions fall off the retention ring.
-  for (std::uint64_t k = 2; k < 2 + net::ParamServer::kRetainedVersions; ++k) {
-    v1[0] += 1.0;
-    ps.publish(v1);
-  }
-  EXPECT_THROW(ps.checkpoint_text(0), Error);
-  EXPECT_NO_THROW(ps.checkpoint_text(ps.latest_version()));
-}
-
-// ---------------------------------------------------------------------------
 // The acceptance bar: loopback multi-process run == in-process run, bitwise.
 
 frameworks::TrainRequest tiny_rllib_request(std::size_t nodes) {
@@ -566,6 +532,39 @@ TEST(NetDistributed, LoopbackRunMatchesInProcessBitwise) {
   EXPECT_GT(got.net_staleness, 0.0);
 }
 
+/// Open fds, threads and child processes of this process: a failed run
+/// must leave each as it found it.
+struct Footprint {
+  Footprint() {
+    // ThreadSanitizer starts a helper thread with the process's first
+    // thread; let it exist before counting.
+    std::thread([] {}).join();
+    fds = entries("/proc/self/fd");
+    threads = entries("/proc/self/task");
+  }
+
+  std::size_t fds = 0;
+  std::size_t threads = 0;
+
+  static std::size_t entries(const char* dir) {
+    const std::filesystem::directory_iterator it(dir);
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::begin(it), std::filesystem::end(it)));
+  }
+  void expect_unchanged() const {
+    EXPECT_EQ(entries("/proc/self/fd"), fds);
+    // A joined thread can stay listed for a moment after join() returns
+    // (the kernel wakes the joiner just before it reaps the thread).
+    std::size_t now = entries("/proc/self/task");
+    for (int i = 0; i < 200 && now != threads; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      now = entries("/proc/self/task");
+    }
+    EXPECT_EQ(now, threads);
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);  // ECHILD: no children
+  }
+};
+
 TEST(NetDistributed, MissingActorSurfacesAsTimeoutNotHang) {
   frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/2);
   frameworks::DistributedOptions opts;
@@ -573,8 +572,85 @@ TEST(NetDistributed, MissingActorSurfacesAsTimeoutNotHang) {
   opts.endpoint = "unix:" + unique_sock_path("noactor");
   opts.spawn_actors = false;       // and nobody else connects
   opts.connect_timeout_s = 0.3;
+  const Footprint before;
   frameworks::DistributedRllibBackend backend(opts);
   EXPECT_THROW(backend.run(req), net::NetError);
+  before.expect_unchanged();
+}
+
+/// Plays actor node 1 of a 2x2 run by hand over raw net helpers: Hello,
+/// then Job and the first Weights, then one Batch per id in `workers`
+/// (tagged with the shipped version); then it holds the connection until
+/// the learner drops it.
+void fake_actor(const std::string& endpoint,
+                const std::vector<std::uint64_t>& workers) {
+  try {
+    net::OwnedFd fd =
+        net::connect_endpoint(net::Endpoint::parse(endpoint), 10.0);
+    net::set_io_timeout(fd.get(), 10.0);
+    net::MsgChannel ch(std::move(fd));
+    net::HelloMsg hello;
+    hello.node = 1;
+    ch.send(net::MsgType::Hello, net::encode_hello(hello));
+    (void)net::decode_job(ch.expect(net::MsgType::Job));
+    const net::WeightsMsg weights =
+        net::decode_weights(ch.expect(net::MsgType::Weights));
+    for (const std::uint64_t worker : workers) {
+      net::BatchMsg msg;
+      msg.worker = worker;
+      msg.version = weights.version;
+      ch.send(net::MsgType::Batch, net::encode_batch_msg(msg));
+    }
+    net::MsgType type;
+    std::string payload;
+    while (ch.recv(type, payload)) {
+    }
+  } catch (const net::NetError&) {
+    // The learner hanging up (EOF above, or an error here) is the end
+    // this actor waits for.
+  }
+}
+
+/// Runs a 2x2 job against fake_actor and expects the learner to reject
+/// the first iteration's batches with a NetError mentioning `why`.
+void expect_batches_rejected(const char* tag,
+                             const std::vector<std::uint64_t>& workers,
+                             const std::string& why) {
+  const frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/2);
+  frameworks::DistributedOptions opts;
+  opts.enabled = true;
+  opts.endpoint = "unix:" + unique_sock_path(tag);
+  opts.spawn_actors = false;
+  opts.connect_timeout_s = 10.0;
+  opts.io_timeout_s = 10.0;
+  const Footprint before;
+  std::thread actor(fake_actor, opts.endpoint, workers);
+  frameworks::DistributedRllibBackend backend(opts);
+  try {
+    backend.run(req);
+    ADD_FAILURE() << "learner accepted batches from workers " << workers[0]
+                  << ", " << workers[1];
+  } catch (const net::NetError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a NetError, got: " << e.what();
+  }
+  actor.join();
+  before.expect_unchanged();
+}
+
+// Node 1 of a 2x2 deployment owns workers 2 and 3.
+TEST(NetDistributed, OutOfRangeWorkerIdIsRejected) {
+  expect_batches_rejected("wid_range", {std::uint64_t{1} << 40, 3},
+                          "outside its workers 2..3");
+}
+
+TEST(NetDistributed, AnotherNodesWorkerIdIsRejected) {
+  expect_batches_rejected("wid_node", {0, 1}, "outside its workers 2..3");
+}
+
+TEST(NetDistributed, RepeatedWorkerIdIsRejected) {
+  expect_batches_rejected("wid_twice", {2, 2}, "twice in one iteration");
 }
 
 TEST(NetDistributed, SingleNodeJobsAreRejected) {

@@ -60,7 +60,10 @@
 #                    draw includes RLlib nodes=2 trials then reruns with
 #                    --distributed, and the multi-process CSV must match
 #                    the in-process one byte for byte with nonzero
-#                    NetStaleness on the engaged trials
+#                    NetStaleness on the engaged trials; finally Table I
+#                    is retrained from scratch (--parallel 4) and must
+#                    reproduce the committed darl_table1_cache.csv byte
+#                    for byte
 #
 # A per-stage wall-clock summary prints at the end.
 #
@@ -328,7 +331,7 @@ kill "$DIST_PID" 2>/dev/null || true
 wait "$DIST_PID" 2>/dev/null || true
 echo "distributed smoke ok: port $dist_port, staleness $staleness, both actors served and exited 0"
 
-stage "determinism audit (serial x2, --parallel 4, gemm pool x4, telemetry on)"
+stage "determinism audit (serial x2, --parallel 4, gemm pool x4, telemetry on, Table I retrain)"
 audit_run() {
   local out="$1"
   shift
@@ -367,7 +370,14 @@ grep -q 'framework=RLlib, nodes=[^1]' "$AUDIT_DIR/dist_mp.csv" \
 grep 'framework=RLlib, nodes=[^1]' "$AUDIT_DIR/dist_mp.csv" \
     | awk -F, '$NF <= 0 { bad = 1 } END { exit bad }' \
   || { echo "determinism audit FAILED: an engaged trial reported zero NetStaleness"; exit 1; }
-echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. gemm pool at 4 threads and the multi-process --distributed leg)"
+# The committed campaign is a gate: its header digests the seed and the
+# configuration list but not the code, so a change that moved campaign
+# numbers without regenerating the cache would leave the benches reading
+# stale values. Retraining Table I must reproduce it byte for byte.
+./build/tools/darl_study --parallel 4 --cache "$AUDIT_DIR/table1.csv" > /dev/null
+cmp "$AUDIT_DIR/table1.csv" darl_table1_cache.csv \
+  || { echo "determinism audit FAILED: retrained Table I differs from the committed darl_table1_cache.csv"; exit 1; }
+echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. gemm pool at 4 threads and the multi-process --distributed leg); retrained Table I matches darl_table1_cache.csv"
 
 stage_end
 echo "=== stage timing ==="
