@@ -1,0 +1,65 @@
+// darl/linalg/gemm_kernels.hpp
+//
+// PRIVATE to darl_linalg: the three instantiations of the register-blocked
+// GEMM micro-kernel behind Matrix::gemm (DESIGN.md §16). Only matrix.cpp
+// and tests/test_linalg.cpp include this header — the tests call every
+// instantiation directly, so the 4-wide path keeps its bits checked on a
+// host whose CPUID selects the 8-wide one. No other module may include it;
+// everything else goes through Matrix::gemm, which picks the instantiation
+// itself (CPUID for the strict width, fast_math_active() for the fused
+// tier).
+
+#pragma once
+
+#include <cstddef>
+
+#if defined(__x86_64__) || defined(__i386__)
+#define DARL_LINALG_X86 1
+#else
+#define DARL_LINALG_X86 0
+#endif
+
+namespace darl::linalg {
+
+/// One C += alpha * op(A) * B product as the micro-kernel reads it. op(A)
+/// element (r, t) sits at a[r * a_row_stride + t * a_t_stride], so the
+/// packed NT, the NN and the TN flavour share one loop nest; B is row-major
+/// k x n with row stride b_stride; C row r starts at c + r * c_stride.
+struct GemmOperands {
+  double alpha = 1.0;
+  const double* a = nullptr;
+  std::size_t a_row_stride = 0;
+  std::size_t a_t_stride = 0;
+  const double* b = nullptr;
+  std::size_t b_stride = 0;
+  double* c = nullptr;
+  std::size_t c_stride = 0;
+  std::size_t m = 0;
+  std::size_t n = 0;
+  std::size_t k = 0;
+};
+
+/// Computes C rows [r0, r1) of one product.
+using GemmRowsFn = void (*)(const GemmOperands& g, std::size_t r0,
+                            std::size_t r1);
+
+/// Strict, 4 doubles per vector (portable GCC vector types: AVX under the
+/// default -mavx build, SSE2 pairs without it). Runs on every host.
+void gemm_rows_v4(const GemmOperands& g, std::size_t r0, std::size_t r1);
+
+#if DARL_LINALG_X86
+/// Strict, 8 doubles per vector, compiled for AVX-512F. Call only when
+/// cpu_has_avx512f(). Bitwise identical to gemm_rows_v4.
+void gemm_rows_v8(const GemmOperands& g, std::size_t r0, std::size_t r1);
+
+/// The opt-in fast-math tier: 4 doubles per vector, each term landing via
+/// a fused multiply-add. Call only when cpu_has_avx2_fma().
+void gemm_rows_fused(const GemmOperands& g, std::size_t r0, std::size_t r1);
+#endif
+
+/// CPUID: whether gemm_rows_v8 / gemm_rows_fused may run on this host
+/// (always false off x86).
+bool cpu_has_avx512f();
+bool cpu_has_avx2_fma();
+
+}  // namespace darl::linalg

@@ -6,14 +6,13 @@
 #include <cstdlib>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/common/rng.hpp"
+#include "darl/linalg/gemm_kernels.hpp"
 #include "darl/linalg/thread_pool.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#define DARL_LINALG_X86 1
+#if DARL_LINALG_X86
 #include <immintrin.h>
-#else
-#define DARL_LINALG_X86 0
 #endif
 
 namespace darl {
@@ -95,9 +94,12 @@ namespace {
 // t in ascending order with a scalar chain seeded from the C value already
 // in memory. K-panel boundaries re-seed the chain from C between panels —
 // the same additions in the same order, just interleaved with other rows —
-// so blocking, packing, and the row-partition parallel schedule are all
-// bitwise-neutral. Only the opt-in fast-math tier (fused multiply-add)
-// rounds differently, and only by the documented divergence bound.
+// so blocking, packing, the vector width and the row-partition parallel
+// schedule are all bitwise-neutral. Only the opt-in fast-math tier (fused
+// multiply-add) rounds differently, and only by the documented divergence
+// bound. The library is compiled with -ffp-contract=off: under an
+// AVX-512 (or FMA) target GCC would otherwise fuse the strict kernels'
+// `acc += a * b` into one rounding.
 // ---------------------------------------------------------------------------
 
 /// K-panel length: the contraction index is walked in chunks of this many
@@ -105,29 +107,25 @@ namespace {
 /// a worker's C rows (64 terms x 256 cols x 8 bytes = 128 KiB, L2-sized).
 constexpr std::size_t kPanelK = 64;
 
+/// C rows the micro-kernel keeps in registers at once (each with two
+/// vectors of columns): 4 x 2 accumulators hide the add latency.
+constexpr std::size_t kBlockRows = 4;
+
 /// m*n*k volume below which gemm stays on the calling thread: chunk
 /// handoff costs more than it saves (batch-1 serve latency must not
 /// regress). 64x64x64 (the training batch shape) sits above it.
 constexpr std::size_t kParallelMinVolume = 131072;
 
-/// NT output rows below which packing op(B) costs more than the packed
-/// sweep saves; small shapes use the register-blocked dot-product kernel.
+/// NT output rows below which packing op(B) costs more than the
+/// micro-kernel saves; small shapes use the dot-product kernel nt_small.
 constexpr std::size_t kNtPackMinRows = 8;
 
 /// Fast-math tier switch. Enabled only when DARL_FAST_MATH=1 AND the CPU
 /// has AVX2+FMA; darl_study force-disables it so campaign CSVs are exempt
 /// by construction.
-bool cpu_has_fast_math() {
-#if DARL_LINALG_X86 && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
 bool fast_math_env_default() {
   const char* raw = std::getenv("DARL_FAST_MATH");
-  return raw != nullptr && raw[0] == '1' && cpu_has_fast_math();
+  return raw != nullptr && raw[0] == '1' && linalg::cpu_has_avx2_fma();
 }
 
 std::atomic<bool> g_fast_math{fast_math_env_default()};
@@ -153,158 +151,171 @@ void pack_b_transposed(const double* b_base, std::size_t b_stride,
   }
 }
 
-// Inner sweeps: four ascending-t terms land on each C element per pass
-// (chained scalar adds), then a single-t remainder. The j loop is
-// contiguous in both operands, so it vectorizes without reassociating any
-// per-element sum.
-inline void sweep4(double av0, double av1, double av2, double av3,
-                   const double* b0, const double* b1, const double* b2,
-                   const double* b3, double* crow, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    double cj = crow[j];
-    cj += av0 * b0[j];
-    cj += av1 * b1[j];
-    cj += av2 * b2[j];
-    cj += av3 * b3[j];
-    crow[j] = cj;
-  }
-}
+// The micro-kernel is written once over a vector type V and instantiated
+// three times (gemm_rows_v4 / _v8 / _fused below). V supplies the register
+// type, its width in doubles, and the one arithmetic step: `acc += a * b`
+// for the strict tiers, a fused multiply-add for the fast-math tier. Every
+// template here is always_inline with internal linkage, so each body is
+// compiled only inside the instantiating function and inherits its target
+// ISA.
 
-inline void sweep1(double av, const double* b, double* crow, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) crow[j] += av * b[j];
-}
+/// Strict step over GCC vector types: the scalar `a` is broadcast to every
+/// lane, and each lane rounds the product and then the sum exactly like
+/// mulsd/addsd. Portable: without -mavx the 4-wide type lowers to SSE2
+/// pairs with the same bits.
+template <std::size_t W>
+struct StrictVec {
+  typedef double reg __attribute__((vector_size(W * sizeof(double))));
+  static constexpr std::size_t kWidth = W;
+  [[gnu::always_inline]] static void step(reg& acc, double a, const reg& b) {
+    acc += a * b;
+  }
+};
 
 #if DARL_LINALG_X86
-// Fast-math sweeps: identical term order, but each term lands via a fused
-// multiply-add (one rounding instead of two). Compiled for AVX2+FMA via
-// the target attribute so the base build flags stay untouched; only
-// reachable when fast_math_active().
-__attribute__((target("avx2,fma"))) void sweep4_fma(
-    double av0, double av1, double av2, double av3, const double* b0,
-    const double* b1, const double* b2, const double* b3, double* crow,
-    std::size_t n) {
-  const __m256d v0 = _mm256_set1_pd(av0);
-  const __m256d v1 = _mm256_set1_pd(av1);
-  const __m256d v2 = _mm256_set1_pd(av2);
-  const __m256d v3 = _mm256_set1_pd(av3);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d c = _mm256_loadu_pd(crow + j);
-    c = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b0 + j), c);
-    c = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b1 + j), c);
-    c = _mm256_fmadd_pd(v2, _mm256_loadu_pd(b2 + j), c);
-    c = _mm256_fmadd_pd(v3, _mm256_loadu_pd(b3 + j), c);
-    _mm256_storeu_pd(crow + j, c);
+/// Fast-math step: identical term order, but each term lands via a fused
+/// multiply-add (one rounding instead of two). The target attribute lets
+/// it inline only into gemm_rows_fused, which carries the same ISA.
+struct FusedVec {
+  using reg = __m256d;
+  static constexpr std::size_t kWidth = 4;
+  __attribute__((target("avx2,fma"))) static void step(reg& acc, double a,
+                                                       const reg& b) {
+    acc = _mm256_fmadd_pd(_mm256_set1_pd(a), b, acc);
   }
-  for (; j < n; ++j) {
-    double cj = crow[j];
-    cj = std::fma(av0, b0[j], cj);
-    cj = std::fma(av1, b1[j], cj);
-    cj = std::fma(av2, b2[j], cj);
-    cj = std::fma(av3, b3[j], cj);
-    crow[j] = cj;
-  }
-}
-
-__attribute__((target("avx2,fma"))) void sweep1_fma(double av,
-                                                    const double* b,
-                                                    double* crow,
-                                                    std::size_t n) {
-  const __m256d v = _mm256_set1_pd(av);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d c = _mm256_loadu_pd(crow + j);
-    c = _mm256_fmadd_pd(v, _mm256_loadu_pd(b + j), c);
-    _mm256_storeu_pd(crow + j, c);
-  }
-  for (; j < n; ++j) crow[j] = std::fma(av, b[j], crow[j]);
-}
+};
 #endif  // DARL_LINALG_X86
 
-/// One worker's share of C += alpha * A * B, with B a row-major k x n
-/// operand — the true B of the NN flavour, or the packed B^T of the NT
-/// flavour. K-panel outermost: one panel of B stays hot across all of the
-/// worker's rows; each row's scalar chain re-seeds from C at the panel
-/// boundary, preserving the ascending-t order exactly.
-void rowmajor_rows(double alpha, const double* a_base, std::size_t a_stride,
-                   const double* b_base, std::size_t n, std::size_t k,
-                   double* c_base, std::size_t c_stride, std::size_t r0,
-                   std::size_t r1, bool fm) {
-  for (std::size_t t0 = 0; t0 < k; t0 += kPanelK) {
-    const std::size_t t1 = std::min(k, t0 + kPanelK);
-    for (std::size_t r = r0; r < r1; ++r) {
-      const double* pa = a_base + r * a_stride;
-      double* crow = c_base + r * c_stride;
-      std::size_t t = t0;
-#if DARL_LINALG_X86
-      if (fm) {
-        for (; t + 4 <= t1; t += 4) {
-          sweep4_fma(alpha * pa[t + 0], alpha * pa[t + 1], alpha * pa[t + 2],
-                     alpha * pa[t + 3], b_base + (t + 0) * n,
-                     b_base + (t + 1) * n, b_base + (t + 2) * n,
-                     b_base + (t + 3) * n, crow, n);
-        }
-        for (; t < t1; ++t) sweep1_fma(alpha * pa[t], b_base + t * n, crow, n);
-        continue;
-      }
-#else
-      (void)fm;
-#endif
-      for (; t + 4 <= t1; t += 4) {
-        sweep4(alpha * pa[t + 0], alpha * pa[t + 1], alpha * pa[t + 2],
-               alpha * pa[t + 3], b_base + (t + 0) * n, b_base + (t + 1) * n,
-               b_base + (t + 2) * n, b_base + (t + 3) * n, crow, n);
-      }
-      for (; t < t1; ++t) sweep1(alpha * pa[t], b_base + t * n, crow, n);
-    }
-  }
+template <class R>
+[[gnu::always_inline]] inline void load_vec(R& v, const double* p) {
+  __builtin_memcpy(&v, p, sizeof v);
 }
 
-/// One worker's share of C += alpha * A^T * B (rows [r0, r1) of C). The
-/// t-outer rank-1 form already streams B once, so no K-panel is needed;
-/// four t's per sweep keep each C row in registers, ascending order
-/// unchanged.
-void tn_rows(double alpha, const double* a_base, std::size_t a_stride,
-             const double* b_base, std::size_t b_stride, std::size_t n,
-             std::size_t k, double* c_base, std::size_t c_stride,
-             std::size_t r0, std::size_t r1, bool fm) {
-  std::size_t t = 0;
-  for (; t + 4 <= k; t += 4) {
-    const double* arow0 = a_base + (t + 0) * a_stride;
-    const double* arow1 = a_base + (t + 1) * a_stride;
-    const double* arow2 = a_base + (t + 2) * a_stride;
-    const double* arow3 = a_base + (t + 3) * a_stride;
-    const double* brow0 = b_base + (t + 0) * b_stride;
-    const double* brow1 = b_base + (t + 1) * b_stride;
-    const double* brow2 = b_base + (t + 2) * b_stride;
-    const double* brow3 = b_base + (t + 3) * b_stride;
-    for (std::size_t r = r0; r < r1; ++r) {
-      double* crow = c_base + r * c_stride;
-#if DARL_LINALG_X86
-      if (fm) {
-        sweep4_fma(alpha * arow0[r], alpha * arow1[r], alpha * arow2[r],
-                   alpha * arow3[r], brow0, brow1, brow2, brow3, crow, n);
-        continue;
-      }
-#endif
-      sweep4(alpha * arow0[r], alpha * arow1[r], alpha * arow2[r],
-             alpha * arow3[r], brow0, brow1, brow2, brow3, crow, n);
+template <class R>
+[[gnu::always_inline]] inline void store_vec(double* p, const R& v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+
+/// The register block: R rows x NV vectors of C stay in registers across
+/// one K-panel of kt terms. ap holds the panel's pre-scaled op(A) values
+/// (ap[i * kPanelK + t] = alpha * a_it), b the panel's first B row. Lanes
+/// are independent, so every element's chain is exactly the scalar one.
+template <class V, std::size_t R, std::size_t NV>
+DARL_KERNEL [[gnu::always_inline]] inline void micro_block(
+    const double* ap, std::size_t kt, const double* b, std::size_t ldb,
+    double* c, std::size_t ldc) {
+  using reg = typename V::reg;
+  constexpr std::size_t W = V::kWidth;
+  reg acc[R][NV] = {};
+  for (std::size_t i = 0; i < R; ++i)
+    for (std::size_t v = 0; v < NV; ++v) load_vec(acc[i][v], c + i * ldc + v * W);
+  for (std::size_t t = 0; t < kt; ++t) {
+    reg bt[NV] = {};
+    for (std::size_t v = 0; v < NV; ++v) load_vec(bt[v], b + t * ldb + v * W);
+    for (std::size_t i = 0; i < R; ++i) {
+      const double a = ap[i * kPanelK + t];
+      for (std::size_t v = 0; v < NV; ++v) V::step(acc[i][v], a, bt[v]);
     }
   }
-  for (; t < k; ++t) {
-    const double* arow = a_base + t * a_stride;
-    const double* brow = b_base + t * b_stride;
-    for (std::size_t r = r0; r < r1; ++r) {
-      double* crow = c_base + r * c_stride;
-#if DARL_LINALG_X86
-      if (fm) {
-        sweep1_fma(alpha * arow[r], brow, crow, n);
-        continue;
+  for (std::size_t i = 0; i < R; ++i)
+    for (std::size_t v = 0; v < NV; ++v) store_vec(c + i * ldc + v * W, acc[i][v]);
+}
+
+/// One K-panel as the row blocks see it: ap holds the block's pre-scaled
+/// op(A) values, b the panel's first B row (row stride ldb); the last rem
+/// < 2W columns come from btail, a zero-padded copy of B's tail columns
+/// with row stride tail_w (one or two vectors).
+struct Panel {
+  const double* ap = nullptr;
+  std::size_t kt = 0;
+  const double* b = nullptr;
+  std::size_t ldb = 0;
+  std::size_t n_full = 0;
+  const double* btail = nullptr;
+  std::size_t rem = 0;
+  std::size_t tail_w = 0;
+};
+
+/// R rows of C: two-vector blocks over the first n_full columns, then the
+/// tail columns over btail and a zero-padded stack copy of the C tail. The
+/// pad lanes compute on zeros and are never stored.
+template <class V, std::size_t R>
+DARL_KERNEL [[gnu::always_inline]] inline void micro_rows(const Panel& p,
+                                                          double* c,
+                                                          std::size_t ldc) {
+  constexpr std::size_t W = V::kWidth;
+  for (std::size_t j = 0; j < p.n_full; j += 2 * W)
+    micro_block<V, R, 2>(p.ap, p.kt, p.b + j, p.ldb, c + j, ldc);
+  if (p.rem == 0) return;
+  // The tail is narrow, so it is copied column by column: a loop along a
+  // row would compile to a library memcpy call per row.
+  const std::size_t tw = p.tail_w;
+  double* ct = c + p.n_full;
+  double ctail[R * 2 * W] = {};
+  for (std::size_t j = 0; j < p.rem; ++j)
+    for (std::size_t i = 0; i < R; ++i) ctail[i * tw + j] = ct[i * ldc + j];
+  if (tw > W) {
+    micro_block<V, R, 2>(p.ap, p.kt, p.btail, tw, ctail, tw);
+  } else {
+    micro_block<V, R, 1>(p.ap, p.kt, p.btail, tw, ctail, tw);
+  }
+  for (std::size_t j = 0; j < p.rem; ++j)
+    for (std::size_t i = 0; i < R; ++i) ct[i * ldc + j] = ctail[i * tw + j];
+}
+
+/// The loop nest: C rows [r0, r1) of C += alpha * op(A) * B. K-panel
+/// outermost, so one panel of B stays hot across all of the worker's rows.
+/// Per panel, B's tail columns are copied once into a zero-padded buffer;
+/// per panel and block of kBlockRows rows, alpha * a_it is computed once
+/// (the rounding every term uses), then the block's chains run over the
+/// panel in ascending t. Scratch lives on the stack; allocates nothing.
+template <class V>
+DARL_KERNEL [[gnu::always_inline]] inline void micro_gemm(
+    const linalg::GemmOperands& g, std::size_t r0, std::size_t r1) {
+  constexpr std::size_t W = V::kWidth;
+  // Stack scratch, written before every read: ap per row block, btail
+  // per panel when there is a tail. Zero-initialising them on every call
+  // would cost a small product (64x64x1) about a fifth of its time.
+  double ap[kBlockRows * kPanelK];
+  double btail[kPanelK * 2 * W];
+  Panel p;
+  p.ap = ap;
+  p.ldb = g.b_stride;
+  p.n_full = g.n - g.n % (2 * W);
+  p.btail = btail;
+  p.rem = g.n - p.n_full;
+  p.tail_w = p.rem > W ? 2 * W : W;
+  for (std::size_t t0 = 0; t0 < g.k; t0 += kPanelK) {
+    p.kt = std::min(kPanelK, g.k - t0);
+    p.b = g.b + t0 * g.b_stride;
+    if (p.rem != 0) {  // column by column, as in micro_rows
+      std::fill_n(btail, p.kt * p.tail_w, 0.0);
+      for (std::size_t j = 0; j < p.rem; ++j) {
+        for (std::size_t t = 0; t < p.kt; ++t)
+          btail[t * p.tail_w + j] = p.b[t * p.ldb + p.n_full + j];
       }
-#else
-      (void)fm;
-#endif
-      sweep1(alpha * arow[r], brow, crow, n);
+    }
+    for (std::size_t r = r0; r < r1; r += kBlockRows) {
+      const std::size_t rows = std::min(kBlockRows, r1 - r);
+      const double* a = g.a + r * g.a_row_stride + t0 * g.a_t_stride;
+      if (g.a_t_stride == 1) {  // NT / NN: op(A) rows are contiguous in t
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t t = 0; t < p.kt; ++t)
+            ap[i * kPanelK + t] = g.alpha * a[i * g.a_row_stride + t];
+        }
+      } else {  // TN: the block's rows are adjacent at each t
+        for (std::size_t t = 0; t < p.kt; ++t) {
+          for (std::size_t i = 0; i < rows; ++i)
+            ap[i * kPanelK + t] = g.alpha * a[i * g.a_row_stride + t * g.a_t_stride];
+        }
+      }
+      double* c = g.c + r * g.c_stride;
+      switch (rows) {
+        case 4: micro_rows<V, 4>(p, c, g.c_stride); break;
+        case 3: micro_rows<V, 3>(p, c, g.c_stride); break;
+        case 2: micro_rows<V, 2>(p, c, g.c_stride); break;
+        default: micro_rows<V, 1>(p, c, g.c_stride); break;
+      }
     }
   }
 }
@@ -314,10 +325,11 @@ void tn_rows(double alpha, const double* a_base, std::size_t a_stride,
 /// its own scalar chain. This is the PR-4 kernel shape; packing would cost
 /// as much as the whole product at these sizes. Always scalar — the
 /// fast-math tier only covers the blocked shapes.
-void nt_small(double alpha, const double* a_base, std::size_t a_stride,
-              const double* b_base, std::size_t b_stride, std::size_t m,
-              std::size_t n, std::size_t k, double* c_base,
-              std::size_t c_stride) {
+DARL_KERNEL void nt_small(double alpha, const double* a_base,
+                          std::size_t a_stride, const double* b_base,
+                          std::size_t b_stride, std::size_t m, std::size_t n,
+                          std::size_t k, double* c_base,
+                          std::size_t c_stride) {
   for (std::size_t r = 0; r < m; ++r) {
     const double* pa = a_base + r * a_stride;
     double* crow = c_base + r * c_stride;
@@ -352,65 +364,102 @@ void nt_small(double alpha, const double* a_base, std::size_t a_stride,
   }
 }
 
-/// Chunk context handed to the pool: everything a worker needs to find
-/// its fixed row range and run the right flavour over it.
+/// Chunk context handed to the pool: the operands plus the instantiation
+/// chosen for this call.
 struct ChunkCtx {
-  double alpha = 1.0;
-  const double* a_base = nullptr;
-  std::size_t a_stride = 0;
-  const double* b_base = nullptr;
-  std::size_t b_stride = 0;
-  double* c_base = nullptr;
-  std::size_t c_stride = 0;
-  std::size_t m = 0;
-  std::size_t n = 0;
-  std::size_t k = 0;
-  bool tn = false;
-  bool fm = false;
+  linalg::GemmOperands ops;
+  linalg::GemmRowsFn rows = nullptr;
 };
 
 /// Fixed tile ownership: worker w of `width` owns C rows
 /// [m*w/width, m*(w+1)/width) — contiguous, disjoint, and a pure function
 /// of (w, width), so the schedule (and every write) is identical across
 /// runs and across threaded vs inline execution.
-void gemm_chunk(void* vctx, std::size_t w, std::size_t width) {
+DARL_KERNEL void gemm_chunk(void* vctx, std::size_t w, std::size_t width) {
   const ChunkCtx& ctx = *static_cast<const ChunkCtx*>(vctx);
-  const std::size_t r0 = (ctx.m * w) / width;
-  const std::size_t r1 = (ctx.m * (w + 1)) / width;
+  const std::size_t r0 = (ctx.ops.m * w) / width;
+  const std::size_t r1 = (ctx.ops.m * (w + 1)) / width;
   if (r0 >= r1) return;
-  if (ctx.tn) {
-    tn_rows(ctx.alpha, ctx.a_base, ctx.a_stride, ctx.b_base, ctx.b_stride,
-            ctx.n, ctx.k, ctx.c_base, ctx.c_stride, r0, r1, ctx.fm);
-  } else {
-    rowmajor_rows(ctx.alpha, ctx.a_base, ctx.a_stride, ctx.b_base, ctx.n,
-                  ctx.k, ctx.c_base, ctx.c_stride, r0, r1, ctx.fm);
-  }
+  ctx.rows(ctx.ops, r0, r1);
 }
 
 /// Route a chunk context through the pool when the product volume clears
 /// the parallel threshold, inline otherwise. Inline is chunk (0, 1) — the
 /// whole row range in one call.
-void dispatch_chunks(ChunkCtx& ctx) {
+DARL_KERNEL void dispatch_chunks(ChunkCtx& ctx) {
   linalg::ThreadPool& pool = linalg::ThreadPool::instance();
-  if (pool.width() > 1 && ctx.m * ctx.n * ctx.k >= kParallelMinVolume) {
+  if (pool.width() > 1 && ctx.ops.m * ctx.ops.n * ctx.ops.k >= kParallelMinVolume) {
     pool.run(&gemm_chunk, &ctx);
   } else {
     gemm_chunk(&ctx, 0, 1);
   }
 }
 
+/// The instantiation for the current call: the fused one when the
+/// fast-math tier is on, else the widest strict one CPUID allows (chosen
+/// once per process).
+linalg::GemmRowsFn rows_kernel() {
+#if DARL_LINALG_X86
+  if (fast_math_active()) return &linalg::gemm_rows_fused;
+  static const linalg::GemmRowsFn strict =
+      linalg::cpu_has_avx512f() ? &linalg::gemm_rows_v8 : &linalg::gemm_rows_v4;
+  return strict;
+#else
+  return &linalg::gemm_rows_v4;
+#endif
+}
+
 }  // namespace
 
+namespace linalg {
+
+DARL_KERNEL void gemm_rows_v4(const GemmOperands& g, std::size_t r0,
+                              std::size_t r1) {
+  micro_gemm<StrictVec<4>>(g, r0, r1);
+}
+
+#if DARL_LINALG_X86
+__attribute__((target("avx512f"))) DARL_KERNEL void gemm_rows_v8(
+    const GemmOperands& g, std::size_t r0, std::size_t r1) {
+  micro_gemm<StrictVec<8>>(g, r0, r1);
+}
+
+__attribute__((target("avx2,fma"))) DARL_KERNEL void gemm_rows_fused(
+    const GemmOperands& g, std::size_t r0, std::size_t r1) {
+  micro_gemm<FusedVec>(g, r0, r1);
+}
+#endif
+
+bool cpu_has_avx512f() {
+#if DARL_LINALG_X86 && defined(__GNUC__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+bool cpu_has_avx2_fma() {
+#if DARL_LINALG_X86 && defined(__GNUC__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+}  // namespace linalg
+
 void set_fast_math(bool on) {
-  g_fast_math.store(on && cpu_has_fast_math(), std::memory_order_relaxed);
+  g_fast_math.store(on && linalg::cpu_has_avx2_fma(), std::memory_order_relaxed);
 }
 
 bool fast_math_active() {
   return g_fast_math.load(std::memory_order_relaxed);
 }
 
-void Matrix::gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
-                  bool trans_b, Matrix& c) {
+DARL_KERNEL void Matrix::gemm(double alpha, const Matrix& a, bool trans_a,
+                              const Matrix& b, bool trans_b, Matrix& c) {
   const std::size_t m = trans_a ? a.cols_ : a.rows_;
   const std::size_t kdim = trans_a ? a.rows_ : a.cols_;
   const std::size_t n = trans_b ? b.rows_ : b.cols_;
@@ -425,51 +474,7 @@ void Matrix::gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
   const double* a_base = a.data_.data();
   const double* b_base = b.data_.data();
   double* c_base = c.data_.data();
-  const bool fm = fast_math_active();
-  ChunkCtx ctx;
-  ctx.alpha = alpha;
-  ctx.c_base = c_base;
-  ctx.c_stride = c.cols_;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = kdim;
-  ctx.fm = fm;
-  if (!trans_a && trans_b) {
-    // C += alpha * A * B^T — the forward-pass shape (Z = X * W^T). Large
-    // outputs pack op(B) into a k x n panel buffer once (layout only, no
-    // arithmetic) and run the vectorizable row-major core over it; small
-    // outputs keep the dot-product kernel. Same per-element order either
-    // way.
-    if (m < kNtPackMinRows) {
-      nt_small(alpha, a_base, a.cols_, b_base, b.cols_, m, n, kdim, c_base,
-               c.cols_);
-      return;
-    }
-    double* pack = pack_workspace(kdim * n);
-    pack_b_transposed(b_base, b.cols_, n, kdim, pack);
-    ctx.a_base = a_base;
-    ctx.a_stride = a.cols_;
-    ctx.b_base = pack;
-    ctx.b_stride = n;
-    dispatch_chunks(ctx);
-  } else if (trans_a && !trans_b) {
-    // C += alpha * A^T * B — the weight-gradient shape (dW += delta^T * X).
-    // Rank-1 t-outer updates, parallel over C row ranges.
-    ctx.a_base = a_base;
-    ctx.a_stride = a.cols_;
-    ctx.b_base = b_base;
-    ctx.b_stride = b.cols_;
-    ctx.tn = true;
-    dispatch_chunks(ctx);
-  } else if (!trans_a && !trans_b) {
-    // C += alpha * A * B — the input-gradient shape (dX = delta * W). B is
-    // already row-major k x n; the packed-NT core runs on it directly.
-    ctx.a_base = a_base;
-    ctx.a_stride = a.cols_;
-    ctx.b_base = b_base;
-    ctx.b_stride = b.cols_;
-    dispatch_chunks(ctx);
-  } else {
+  if (trans_a && trans_b) {
     // C += alpha * A^T * B^T — unused by the network; generic strided form.
     for (std::size_t r = 0; r < m; ++r) {
       const double* pa = a_base + r;
@@ -482,7 +487,39 @@ void Matrix::gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
         crow[j] = acc;
       }
     }
+    return;
   }
+  if (!trans_a && trans_b && m < kNtPackMinRows) {
+    // Small NT (batch 1-7 serving): packing op(B) would cost as much as
+    // the product; the dot-product kernel reads B^T in place.
+    nt_small(alpha, a_base, a.cols_, b_base, b.cols_, m, n, kdim, c_base,
+             c.cols_);
+    return;
+  }
+  // Every other flavour runs the micro-kernel over a row-major B: op(A)
+  // is read through (row stride, t stride) — (lda, 1) for A, (1, lda) for
+  // A^T — and the NT flavour first packs B^T into a k x n buffer (layout
+  // only, no arithmetic).
+  ChunkCtx ctx;
+  ctx.ops.alpha = alpha;
+  ctx.ops.a = a_base;
+  ctx.ops.a_row_stride = trans_a ? 1 : a.cols_;
+  ctx.ops.a_t_stride = trans_a ? a.cols_ : 1;
+  ctx.ops.b = b_base;
+  ctx.ops.b_stride = b.cols_;
+  ctx.ops.c = c_base;
+  ctx.ops.c_stride = c.cols_;
+  ctx.ops.m = m;
+  ctx.ops.n = n;
+  ctx.ops.k = kdim;
+  ctx.rows = rows_kernel();
+  if (trans_b) {
+    double* pack = pack_workspace(kdim * n);
+    pack_b_transposed(b_base, b.cols_, n, kdim, pack);
+    ctx.ops.b = pack;
+    ctx.ops.b_stride = n;
+  }
+  dispatch_chunks(ctx);
 }
 
 Matrix Matrix::multiply(const Matrix& a, const Matrix& b) {

@@ -68,19 +68,20 @@ class Matrix {
   void add_scaled(double alpha, const Matrix& other);
 
   /// C += alpha * op(A) * op(B), where op is the identity or the transpose.
-  /// C must be pre-shaped to op(A).rows x op(B).cols; the only scratch is a
-  /// thread-local packing buffer that stops growing once the largest shape
-  /// has been seen. Each C element accumulates over the contraction index
-  /// in ascending order (seeded from the existing C value), matching the
-  /// matvec / matvec_t / add_outer summation order bit for bit — across
-  /// flavours, K-panel blocking, operand packing, AND the thread count:
-  /// large products are row-partitioned over the persistent
+  /// C must be pre-shaped to op(A).rows x op(B).cols; the only heap scratch
+  /// is a thread-local packing buffer that stops growing once the largest
+  /// shape has been seen. Each C element accumulates over the contraction
+  /// index in ascending order (seeded from the existing C value), matching
+  /// the matvec / matvec_t / add_outer summation order bit for bit —
+  /// across flavours, K-panel blocking, operand packing, the vector width
+  /// (chosen from CPUID), AND the thread count: large products are
+  /// row-partitioned over the persistent
   /// linalg::ThreadPool (width from DARL_LINALG_THREADS, default 1) with
   /// fixed disjoint row ownership per worker, so results are bitwise
   /// identical at any width. Products below a volume threshold stay on the
   /// calling thread (batch-1 latency). The opt-in fast-math tier
-  /// (DARL_FAST_MATH=1 / set_fast_math) swaps the inner sweeps for
-  /// AVX2+FMA versions with the same term order but fused rounding — see
+  /// (DARL_FAST_MATH=1 / set_fast_math) swaps the strict micro-kernel for
+  /// its AVX2+FMA instantiation: same term order, fused rounding — see
   /// DESIGN.md §16 for the divergence bound; campaigns force it off.
   static void gemm(double alpha, const Matrix& a, bool trans_a,
                    const Matrix& b, bool trans_b, Matrix& c);
@@ -113,7 +114,7 @@ class Matrix {
 /// the strict tier.
 void set_fast_math(bool on);
 
-/// Whether gemm is currently using the fused-multiply-add sweeps.
+/// Whether gemm is currently using the fused-multiply-add micro-kernel.
 bool fast_math_active();
 
 /// m(r, c) += bias[c] for every row r. Requires bias.size() == m.cols().

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/nn/quantize.hpp"
 #include "darl/obs/metrics.hpp"
@@ -20,7 +21,7 @@ obs::Histogram& batch_rows_histogram() {
   return h;
 }
 
-void record_batch(std::size_t rows, double flops) {
+DARL_KERNEL void record_batch(std::size_t rows, double flops) {
   if (!obs::metrics_enabled()) return;
   batch_rows_histogram().observe(static_cast<double>(rows));
   DARL_GAUGE_ADD("nn.batched_flops", flops);
@@ -65,26 +66,40 @@ void Mlp::apply_act(Matrix& z) const {
   }
 }
 
-void Mlp::scale_by_act_grad(Matrix& delta, const Matrix& act) const {
-  double* d = delta.data().data();
-  const double* a = act.data().data();
-  const std::size_t n = delta.size();
-  if (activation_ == Activation::Tanh) {
-    // a[i] is the stored tanh of the pre-activation, so 1 - a^2 is bit for
-    // bit the value a recompute through std::tanh would produce — without
-    // the (expensive) recompute.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = a[i];
-      d[i] *= 1.0 - t * t;
+DARL_KERNEL void Mlp::act_grad_and_bias_grad(Matrix& delta, const Matrix* act,
+                                             Vec& grad_b) const {
+  // One row-order pass: each element first becomes dL/dz, then lands in
+  // grad_b, so grad_b[c] sums the rows in ascending order as before.
+  const std::size_t rows = delta.rows();
+  const std::size_t cols = delta.cols();
+  double* gb = grad_b.data();
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* d = delta.row(r);
+    if (act == nullptr) {
+      for (std::size_t c = 0; c < cols; ++c) gb[c] += d[c];
+    } else if (activation_ == Activation::Tanh) {
+      // a[c] is the stored tanh of the pre-activation, so 1 - a^2 is bit
+      // for bit the value a recompute through std::tanh would produce —
+      // without the (expensive) recompute.
+      const double* a = act->row(r);
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double t = a[c];
+        d[c] *= 1.0 - t * t;
+        gb[c] += d[c];
+      }
+    } else {
+      // relu(z) > 0 exactly when z > 0, so the stored output decides the
+      // pass-through mask just like the pre-activation would.
+      const double* a = act->row(r);
+      for (std::size_t c = 0; c < cols; ++c) {
+        d[c] *= a[c] > 0.0 ? 1.0 : 0.0;
+        gb[c] += d[c];
+      }
     }
-  } else {
-    // relu(z) > 0 exactly when z > 0, so the stored output decides the
-    // pass-through mask just like the pre-activation would.
-    for (std::size_t i = 0; i < n; ++i) d[i] *= a[i] > 0.0 ? 1.0 : 0.0;
   }
 }
 
-const Matrix& Mlp::forward_batch(const Matrix& x) {
+DARL_KERNEL const Matrix& Mlp::forward_batch(const Matrix& x) {
   DARL_CHECK(x.cols() == input_dim(),
              "Mlp input has " << x.cols() << " dims, expected " << input_dim());
   const std::size_t batch = x.rows();
@@ -106,7 +121,7 @@ const Matrix& Mlp::forward_batch(const Matrix& x) {
   return ws_act_[layers];
 }
 
-const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
+DARL_KERNEL const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
   DARL_CHECK(x.cols() == input_dim(),
              "Mlp input has " << x.cols() << " dims, expected " << input_dim());
   const std::size_t batch = x.rows();
@@ -157,7 +172,7 @@ const Matrix& Mlp::evaluate_batch_quantized(const Matrix& x,
   return *a;
 }
 
-const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
+DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
   DARL_CHECK(forward_rows_ > 0, "backward_batch() without a preceding forward_batch()");
   DARL_CHECK(grad_output.rows() == forward_rows_ && grad_output.cols() == output_dim(),
              "grad_output is " << grad_output.rows() << "x" << grad_output.cols()
@@ -172,20 +187,14 @@ const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
   std::copy(grad_output.data().begin(), grad_output.data().end(),
             delta->data().begin());
   for (std::size_t li = layers; li-- > 0;) {
-    if (li + 1 < layers) {
-      // delta currently holds dL/da for this layer's activation output;
-      // convert to dL/dz through the activation derivative, read off the
-      // stored activation rows.
-      scale_by_act_grad(*delta, ws_act_[li + 1]);
-    }
+    // For a hidden layer delta holds dL/da of its activation output: one
+    // pass converts it to dL/dz through the activation derivative (read
+    // off the stored activation rows) and adds it into the bias gradient.
+    act_grad_and_bias_grad(*delta, li + 1 < layers ? &ws_act_[li + 1] : nullptr,
+                           grad_b_[li]);
     // grad_w += delta^T * activations: element (r, c) accumulates over
     // samples in ascending order, exactly like per-sample add_outer calls.
     Matrix::gemm(1.0, *delta, true, ws_act_[li], false, grad_w_[li]);
-    Vec& gb = grad_b_[li];
-    for (std::size_t r = 0; r < batch; ++r) {
-      const double* drow = delta->row(r);
-      for (std::size_t c = 0; c < gb.size(); ++c) gb[c] += drow[c];
-    }
     spare->reshape(batch, sizes_[li]);
     spare->fill(0.0);
     Matrix::gemm(1.0, *delta, false, weights_[li], false, *spare);

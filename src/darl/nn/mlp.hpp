@@ -134,13 +134,17 @@ class Mlp {
   /// input). Allocation lives here, outside the kernels.
   void ensure_quant_ws() const;
 
-  /// In-place activation / activation-derivative application; identical
-  /// scalar math to the per-sample act/act_grad. The derivative is read
-  /// off the stored activation output (for tanh, 1 - a^2 with a the stored
-  /// tanh value — the same double the pre-activation recompute would give;
-  /// for ReLU, a > 0 exactly when z > 0).
+  /// In-place activation application; identical scalar math to the
+  /// per-sample act.
   void apply_act(Matrix& z) const;
-  void scale_by_act_grad(Matrix& delta, const Matrix& act) const;
+  /// One backward step's row-order pass over delta: scale by the
+  /// activation derivative when `act` (the layer's stored activation
+  /// output) is given, then add each row into grad_b. The derivative is
+  /// read off the stored output (for tanh, 1 - a^2 with a the stored tanh
+  /// value — the same double the pre-activation recompute would give; for
+  /// ReLU, a > 0 exactly when z > 0).
+  void act_grad_and_bias_grad(Matrix& delta, const Matrix* act,
+                              Vec& grad_b) const;
 
   std::vector<std::size_t> sizes_;
   Activation activation_;

@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/env/space.hpp"
 #include "darl/rl/types.hpp"
 
@@ -38,8 +39,8 @@ class RolloutActor {
   /// to obs.size(); implementations write into it without allocating. The
   /// default loops act(); batched policies override it to amortize the
   /// network evaluation over the whole batch.
-  virtual void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                         std::vector<ActOutput>& out) {
+  DARL_KERNEL virtual void act_batch(const std::vector<Vec>& obs, Rng& rng,
+                                     std::vector<ActOutput>& out) {
     DARL_CHECK(out.size() == obs.size(),
                "act_batch: out has " << out.size() << " slots for "
                                      << obs.size() << " observations");

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/nn/distributions.hpp"
 
 namespace darl::rl {
@@ -40,8 +41,8 @@ class ImpalaActor final : public RolloutActor {
     return sample_from_head(head, rng);
   }
 
-  void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                 std::vector<ActOutput>& out) override {
+  DARL_KERNEL void act_batch(const std::vector<Vec>& obs, Rng& rng,
+                             std::vector<ActOutput>& out) override {
     DARL_CHECK(out.size() == obs.size(),
                "act_batch: out has " << out.size() << " slots for "
                                      << obs.size() << " observations");

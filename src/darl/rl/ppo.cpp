@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/nn/distributions.hpp"
 #include "darl/rl/gae.hpp"
 
@@ -55,8 +56,8 @@ class PpoActor final : public RolloutActor {
     return sample_from_head(head, rng);
   }
 
-  void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                 std::vector<ActOutput>& out) override {
+  DARL_KERNEL void act_batch(const std::vector<Vec>& obs, Rng& rng,
+                             std::vector<ActOutput>& out) override {
     DARL_CHECK(out.size() == obs.size(),
                "act_batch: out has " << out.size() << " slots for "
                                      << obs.size() << " observations");

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/nn/distributions.hpp"
 
 namespace darl::rl {
@@ -71,8 +72,8 @@ class SacActor final : public RolloutActor {
     return sample_from_head(head, rng);
   }
 
-  void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                 std::vector<ActOutput>& out) override {
+  DARL_KERNEL void act_batch(const std::vector<Vec>& obs, Rng& rng,
+                             std::vector<ActOutput>& out) override {
     DARL_CHECK(out.size() == obs.size(),
                "act_batch: out has " << out.size() << " slots for "
                                      << obs.size() << " observations");
@@ -223,18 +224,20 @@ double SacAlgorithm::q_value(const Vec& obs, const Vec& squashed_action) {
 }
 
 void SacAlgorithm::polyak_update() {
+  // Blend each target buffer in place against its online twin.
   const double tau = config_.tau;
-  const Vec q1p = q1_.get_flat_params();
-  Vec q1t = q1_target_.get_flat_params();
-  for (std::size_t i = 0; i < q1t.size(); ++i)
-    q1t[i] = (1.0 - tau) * q1t[i] + tau * q1p[i];
-  q1_target_.set_flat_params(q1t);
-
-  const Vec q2p = q2_.get_flat_params();
-  Vec q2t = q2_target_.get_flat_params();
-  for (std::size_t i = 0; i < q2t.size(); ++i)
-    q2t[i] = (1.0 - tau) * q2t[i] + tau * q2p[i];
-  q2_target_.set_flat_params(q2t);
+  const auto blend = [tau](nn::Mlp& target, nn::Mlp& online) {
+    const std::vector<nn::ParamRef> tp = target.params();
+    const std::vector<nn::ParamRef> op = online.params();
+    for (std::size_t b = 0; b < tp.size(); ++b) {
+      Vec& tv = *tp[b].value;
+      const Vec& ov = *op[b].value;
+      for (std::size_t i = 0; i < tv.size(); ++i)
+        tv[i] = (1.0 - tau) * tv[i] + tau * ov[i];
+    }
+  };
+  blend(q1_target_, q1_);
+  blend(q2_target_, q2_);
 }
 
 void SacAlgorithm::one_update(TrainStats& stats) {

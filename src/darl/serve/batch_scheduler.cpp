@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/stopwatch.hpp"
 #include "darl/obs/metrics.hpp"
@@ -220,7 +221,7 @@ std::size_t BatchScheduler::queue_depth() const {
   return queue_.size();
 }
 
-void BatchScheduler::dispatch_loop(Worker& worker) {
+DARL_KERNEL void BatchScheduler::dispatch_loop(Worker& worker) {
   for (;;) {
     std::size_t count = 0;
     {
@@ -272,7 +273,8 @@ void BatchScheduler::dispatch_loop(Worker& worker) {
   }
 }
 
-void BatchScheduler::execute_batch(Worker& worker, std::size_t count) {
+DARL_KERNEL void BatchScheduler::execute_batch(Worker& worker,
+                                             std::size_t count) {
   DARL_SPAN_V("serve.execute", "rows", count);
   // One version per micro-batch: everything popped above is served by the
   // snapshot read here, even if a publish lands mid-execution.

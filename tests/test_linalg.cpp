@@ -7,6 +7,7 @@
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/stats.hpp"
+#include "darl/linalg/gemm_kernels.hpp"
 #include "darl/linalg/matrix.hpp"
 #include "darl/linalg/thread_pool.hpp"
 #include "darl/linalg/vec.hpp"
@@ -131,10 +132,12 @@ TEST(Matrix, KaimingInitStatistics) {
 // stored value extended by (alpha * a_it) * b_tj terms in ascending t, one
 // chained scalar add per term. The reference below is that contract
 // written as the plainest possible triple loop — the pre-blocking PR-4
-// loop order. Blocking, packing, and the pool's row partition must all be
-// bitwise-invisible against it, at every width, for every flavour, on
-// shapes chosen to stress the edges (prime dims, K not a multiple of the
-// 64-term panel, K below one sweep4 pass, m below the NT packing cutoff).
+// loop order. Blocking, packing, the vector width and the pool's row
+// partition must all be bitwise-invisible against it, at every width, for
+// every flavour and every micro-kernel instantiation, on shapes chosen to
+// stress the edges (prime dims, K not a multiple of the 64-term panel,
+// column and row tails of the register block, m below the NT packing
+// cutoff) plus the learner's own batch-64 shapes.
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -163,19 +166,37 @@ struct GemmShape {
   std::size_t m, n, k;
 };
 
-/// Run one flavour over the edge-case shape set at pool widths 1, 2 and 4
-/// and demand bitwise equality with the reference chain every time.
+/// Edge shapes first, then the learner's (batch 64, hidden 64, 13 inputs,
+/// 1- and 2-wide output layers) as m x n x k.
+constexpr GemmShape kEdgeShapes[] = {
+    {13, 17, 71},   // prime dims, K not a multiple of the 64-term panel
+    {3, 5, 2},      // tiny K, column tail narrower than a vector
+    {67, 31, 64},   // K exactly one panel, odd m/n
+    {9, 129, 130},  // K spanning three panels with a remainder
+    {1, 64, 64},    // single output row (NT: below the packing cutoff)
+};
+constexpr GemmShape kLearnerShapes[] = {
+    {64, 64, 64},  // hidden-layer forward, dW and dX
+    {64, 13, 64},  // layer-0 dW / dX
+    {64, 64, 13},  // layer-0 forward
+    {64, 1, 64},   // critic output layer
+    {64, 2, 64},   // actor output layer
+    {61, 64, 64},  // a row tail of the 4-row register block
+    {1, 64, 64},   // batch-1 rows
+};
+
+template <class F>
+void for_each_shape(F&& f) {
+  for (const GemmShape& s : kEdgeShapes) f(s);
+  for (const GemmShape& s : kLearnerShapes) f(s);
+}
+
+/// Run one flavour over the shape set at pool widths 1, 2 and 4 and demand
+/// bitwise equality with the reference chain every time.
 void check_flavour_bitwise(bool trans_a, bool trans_b) {
-  const GemmShape shapes[] = {
-      {13, 17, 71},   // prime dims, K not a multiple of the 64-term panel
-      {3, 5, 2},      // K below one sweep4 pass
-      {67, 31, 64},   // K exactly one panel, odd m/n
-      {9, 129, 130},  // K spanning three panels with a remainder
-      {1, 64, 64},    // single output row (NT: below the packing cutoff)
-  };
   linalg::ThreadPool& pool = linalg::ThreadPool::instance();
   Rng rng(17);
-  for (const GemmShape& s : shapes) {
+  for_each_shape([&](const GemmShape& s) {
     const Matrix a = trans_a ? random_matrix(s.k, s.m, rng)
                              : random_matrix(s.m, s.k, rng);
     const Matrix b = trans_b ? random_matrix(s.n, s.k, rng)
@@ -196,7 +217,7 @@ void check_flavour_bitwise(bool trans_a, bool trans_b) {
             << width << " element " << i;
       }
     }
-  }
+  });
   pool.configure(linalg::env_thread_width());
 }
 
@@ -214,6 +235,122 @@ TEST(GemmBitwise, NnMatchesReferenceChainAtAllWidths) {
 
 TEST(GemmBitwise, TtMatchesReferenceChain) {
   check_flavour_bitwise(true, true);
+}
+
+// ---------------------------------------------------------------------------
+// Each micro-kernel instantiation, called directly (gemm_kernels.hpp).
+// Matrix::gemm runs only the instantiation CPUID picks, so without these
+// the 4-wide path would go unchecked on an AVX-512 host.
+
+/// C += alpha * op(A) * op(B) through one instantiation: op(B) is handed
+/// over as a row-major k x n copy (what Matrix::gemm's NT packing builds),
+/// op(A) through its (row stride, t stride) pair, and the rows are split
+/// in two calls the way the pool partitions them.
+void run_instantiation(linalg::GemmRowsFn fn, double alpha, const Matrix& a,
+                       bool trans_a, const Matrix& b, bool trans_b,
+                       Matrix& c) {
+  const Matrix bk = trans_b ? b.transposed() : b;
+  linalg::GemmOperands g;
+  g.alpha = alpha;
+  g.a = a.data().data();
+  g.a_row_stride = trans_a ? 1 : a.cols();
+  g.a_t_stride = trans_a ? a.cols() : 1;
+  g.b = bk.data().data();
+  g.b_stride = bk.cols();
+  g.c = c.data().data();
+  g.c_stride = c.cols();
+  g.m = c.rows();
+  g.n = c.cols();
+  g.k = bk.rows();
+  const std::size_t split = g.m / 3;
+  fn(g, 0, split);
+  fn(g, split, g.m);
+}
+
+void check_instantiation_bitwise(linalg::GemmRowsFn fn) {
+  Rng rng(19);
+  for (const bool trans_a : {false, true}) {
+    for (const bool trans_b : {false, true}) {
+      for_each_shape([&](const GemmShape& s) {
+        const Matrix a = trans_a ? random_matrix(s.k, s.m, rng)
+                                 : random_matrix(s.m, s.k, rng);
+        const Matrix b = trans_b ? random_matrix(s.n, s.k, rng)
+                                 : random_matrix(s.k, s.n, rng);
+        Matrix c = random_matrix(s.m, s.n, rng);
+        const double alpha = -0.75;
+        Matrix expected = c;
+        reference_gemm(alpha, a, trans_a, b, trans_b, expected);
+        run_instantiation(fn, alpha, a, trans_a, b, trans_b, c);
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          ASSERT_EQ(c.data()[i], expected.data()[i])
+              << "flavour " << (trans_a ? "T" : "N") << (trans_b ? "T" : "N")
+              << " shape " << s.m << "x" << s.n << "x" << s.k << " element "
+              << i;
+        }
+      });
+    }
+  }
+}
+
+TEST(GemmBitwise, PortableInstantiationMatchesReferenceChain) {
+  check_instantiation_bitwise(&linalg::gemm_rows_v4);
+}
+
+TEST(GemmBitwise, Avx512InstantiationMatchesReferenceChain) {
+#if DARL_LINALG_X86
+  if (!linalg::cpu_has_avx512f()) {
+    GTEST_SKIP() << "CPUID reports no avx512f: the 8-wide instantiation "
+                    "cannot run on this host";
+  }
+  check_instantiation_bitwise(&linalg::gemm_rows_v8);
+#else
+  GTEST_SKIP() << "the 8-wide instantiation exists only on x86";
+#endif
+}
+
+// Contraction detector. (1 + 2^-27) * (1 - 2^-27) = 1 - 2^-54 rounds to
+// 1.0, so C = -1 plus that product is exactly 0.0 when the multiply and
+// the add round separately — and -2^-54 when they are fused into one FMA.
+// One term (k = 1, alpha = 1) over each learner shape's m x n reaches
+// every lane, the two-vector blocks, the padded column tail and the row
+// tail, so a compiler that contracted any strict path shows up here.
+void check_contraction(linalg::GemmRowsFn fn, double expected) {
+  for (const GemmShape& s : kLearnerShapes) {
+    const Matrix a(s.m, 1, 1.0 + 0x1p-27);
+    const Matrix b(1, s.n, 1.0 - 0x1p-27);
+    Matrix c(s.m, s.n, -1.0);
+    run_instantiation(fn, 1.0, a, false, b, false, c);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(c.data()[i], expected)
+          << "shape " << s.m << "x" << s.n << " element " << i;
+    }
+  }
+}
+
+TEST(GemmBitwise, StrictPathsNeverContract) {
+  check_contraction(&linalg::gemm_rows_v4, 0.0);
+#if DARL_LINALG_X86
+  if (linalg::cpu_has_avx512f()) check_contraction(&linalg::gemm_rows_v8, 0.0);
+#endif
+  // And the dispatched gemm in every flavour (nt_small and the TT loop
+  // included), at k = 1.
+  for (const GemmShape& s : kLearnerShapes) {
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        const Matrix a = trans_a ? Matrix(1, s.m, 1.0 + 0x1p-27)
+                                 : Matrix(s.m, 1, 1.0 + 0x1p-27);
+        const Matrix b = trans_b ? Matrix(s.n, 1, 1.0 - 0x1p-27)
+                                 : Matrix(1, s.n, 1.0 - 0x1p-27);
+        Matrix c(s.m, s.n, -1.0);
+        Matrix::gemm(1.0, a, trans_a, b, trans_b, c);
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          ASSERT_EQ(c.data()[i], 0.0)
+              << "flavour " << (trans_a ? "T" : "N") << (trans_b ? "T" : "N")
+              << " shape " << s.m << "x" << s.n << " element " << i;
+        }
+      }
+    }
+  }
 }
 
 // The serving contract at the gemm level: row i of a batched NT product
@@ -269,19 +406,23 @@ TEST(GemmBitwise, ReconfigureAfterThreadedRunStaysSound) {
 // The fast-math tier is opt-in, exempt from the bitwise contract, and
 // bounded: each element may differ from the exactly-rounded result only by
 // the fused-rounding slack k * u * sum_t |alpha * a_it * b_tj| (DESIGN.md
-// §16). On hardware without AVX2+FMA set_fast_math(true) stays off and the
-// diff is exactly zero, which the bound also accepts.
+// §16). Checked against the fused instantiation itself, which must really
+// fuse (the contraction detector reads -2^-54 in every lane), and the
+// dispatched gemm must route to it while the tier is on.
 TEST(GemmBitwise, FastMathStaysWithinDivergenceBound) {
+#if DARL_LINALG_X86
+  if (!linalg::cpu_has_avx2_fma()) {
+    GTEST_SKIP() << "CPUID reports no avx2+fma: the fast-math tier stays off";
+  }
+  check_contraction(&linalg::gemm_rows_fused, -0x1p-54);
   Rng rng(29);
   const std::size_t m = 32, n = 48, k = 96;
   const Matrix a = random_matrix(m, k, rng);
   const Matrix b = random_matrix(n, k, rng);
   Matrix exact(m, n, 0.0);
   Matrix::gemm(1.0, a, false, b, true, exact);
-  set_fast_math(true);
   Matrix fused(m, n, 0.0);
-  Matrix::gemm(1.0, a, false, b, true, fused);
-  set_fast_math(false);
+  run_instantiation(&linalg::gemm_rows_fused, 1.0, a, false, b, true, fused);
   const double u = 0x1p-52;
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -292,6 +433,17 @@ TEST(GemmBitwise, FastMathStaysWithinDivergenceBound) {
           << "element (" << i << "," << j << ")";
     }
   }
+  set_fast_math(true);
+  ASSERT_TRUE(fast_math_active());
+  Matrix dispatched(m, n, 0.0);
+  Matrix::gemm(1.0, a, false, b, true, dispatched);
+  set_fast_math(false);
+  for (std::size_t i = 0; i < dispatched.size(); ++i) {
+    ASSERT_EQ(dispatched.data()[i], fused.data()[i]) << "element " << i;
+  }
+#else
+  GTEST_SKIP() << "the fast-math tier exists only on x86";
+#endif
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "darl/common/kernel.hpp"
+
 namespace lint = darl::lint;
 
 namespace {
@@ -310,16 +312,16 @@ TEST(LintSocket, CleanInsideNetHelpersAndNonSyscallNames) {
 }
 
 // ---------------------------------------------------------------------------
-// heap-alloc-in-kernel
+// heap-alloc-in-kernel — kernels are the definitions marked DARL_KERNEL
 
 TEST(LintKernelAlloc, FlagsAllocationsInsideBatchAndGemmBodies) {
   const std::string code = R"fx(
-const Matrix& Mlp::forward_batch(const Matrix& x) {
+DARL_KERNEL const Matrix& Mlp::forward_batch(const Matrix& x) {
   ws_act_.resize(layers + 1);
   return ws_act_.back();
 }
-void Matrix::gemm(double alpha, const Matrix& a, bool ta,
-                  const Matrix& b, bool tb, Matrix& c) {
+DARL_KERNEL void Matrix::gemm(double alpha, const Matrix& a, bool ta,
+                              const Matrix& b, bool tb, Matrix& c) {
   scratch_.push_back(0.0);
   double* tmp = new double[c.size()];
 }
@@ -338,7 +340,7 @@ void Matrix::gemm(double alpha, const Matrix& a, bool ta,
 
 TEST(LintKernelAlloc, PointerAccessAndConstQualifierAreCovered) {
   const std::string code = R"fx(
-const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
+DARL_KERNEL const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
   spare->resize(batch * cols);
   return *spare;
 }
@@ -346,11 +348,35 @@ const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
   EXPECT_TRUE(has_rule(scan(code), "heap-alloc-in-kernel"));
 }
 
+TEST(LintKernelAlloc, FlagsMarkedMicroKernelWhateverItsName) {
+  // The marker, not the name, makes a kernel: a template behind a C++
+  // attribute and a target-attributed instantiation are both found, and
+  // the finding names the function, not an attribute.
+  const std::string code = R"fx(
+template <class V, std::size_t R>
+DARL_KERNEL [[gnu::always_inline]] inline void micro_block(const double* b) {
+  acc.push_back(b[0]);
+}
+__attribute__((target("avx512f"))) DARL_KERNEL void gemm_rows_v8(
+    const GemmOperands& g, std::size_t r0, std::size_t r1) {
+  tail.resize(g.n);
+}
+)fx";
+  const auto findings = scan(code);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].rule, "heap-alloc-in-kernel");
+  EXPECT_EQ(findings[0].line, 4u);
+  EXPECT_NE(findings[0].message.find("'micro_block'"), std::string::npos);
+  EXPECT_EQ(findings[1].rule, "heap-alloc-in-kernel");
+  EXPECT_EQ(findings[1].line, 8u);
+  EXPECT_NE(findings[1].message.find("'gemm_rows_v8'"), std::string::npos);
+}
+
 TEST(LintKernelAlloc, CleanKernelsCallsAndOtherFunctions) {
   // reshape (capacity-reusing) is the sanctioned growth path; calls to a
-  // kernel and allocations in non-kernel functions are out of scope.
+  // kernel and allocations in unmarked functions are out of scope.
   EXPECT_TRUE(scan(R"fx(
-const Matrix& Mlp::backward_batch(const Matrix& g) {
+DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& g) {
   spare->reshape(batch, cols);
   Matrix::gemm(1.0, *delta, true, ws_act_[li], false, grad_w_[li]);
   return *delta;
@@ -366,13 +392,16 @@ void caller() {
                   .empty());
   // Declarations have no body to scan.
   EXPECT_TRUE(
-      scan("static void gemm(double alpha, const Matrix& a, bool ta,\n"
-           "                 const Matrix& b, bool tb, Matrix& c);")
+      scan("DARL_KERNEL static void gemm(double alpha, const Matrix& a,\n"
+           "    bool ta, const Matrix& b, bool tb, Matrix& c);")
           .empty());
-  // Names that merely contain the kernel stems do not match.
+  // Unmarked definitions are not kernels, whatever their name; the
+  // marker's own #define is not a definition either.
   EXPECT_TRUE(scan(R"fx(
-void gemm_table_builder() { table.push_back(kernel); }
-void run_batched() { queue.push_back(job); }
+#define DARL_KERNEL
+void gemm(Matrix& c) { table.push_back(kernel); }
+const Matrix& Mlp::forward_batch(const Matrix& x) { ws_.resize(2); }
+void dispatch_loop() { queue.push_back(job); }
 )fx")
                   .empty());
 }
@@ -381,7 +410,7 @@ TEST(LintKernelAlloc, FlagsAllocationsInDispatchBodies) {
   // The serve scheduler's dispatch path is per-request hot code; growing
   // containers there would allocate on every micro-batch.
   const std::string code = R"fx(
-void BatchScheduler::dispatch_loop(Worker& worker) {
+DARL_KERNEL void BatchScheduler::dispatch_loop(Worker& worker) {
   worker.batch.push_back(queue_.front());
 }
 )fx";
@@ -394,17 +423,28 @@ TEST(LintKernelAlloc, CleanDispatchBodyAndCallSites) {
   // Index assignment into a preallocated slot plus pop_front is the
   // sanctioned dispatch pattern; calls and declarations have no body.
   EXPECT_TRUE(scan(R"fx(
-void BatchScheduler::dispatch_loop(Worker& worker) {
+DARL_KERNEL void BatchScheduler::dispatch_loop(Worker& worker) {
   worker.batch[i] = queue_.front();
   queue_.pop_front();
 }
 void spawn(Worker* w) {
   w->thread = std::thread([this, w] { dispatch_loop(*w); });
 }
-void dispatch_once(Worker& worker);
+DARL_KERNEL void dispatch_once(Worker& worker);
 )fx")
                   .empty());
 }
+
+#ifndef __clang__
+#define DARL_TEST_STR2(x) #x
+#define DARL_TEST_STR(x) DARL_TEST_STR2(x)
+TEST(LintKernelAlloc, MarkerExpandsToNothing) {
+  // DARL_KERNEL exists for the lint alone and never changes codegen.
+  EXPECT_STREQ(DARL_TEST_STR(DARL_KERNEL), "");
+}
+#undef DARL_TEST_STR
+#undef DARL_TEST_STR2
+#endif
 
 // ---------------------------------------------------------------------------
 // metric-name
@@ -452,7 +492,7 @@ TEST(LintMetricName, CleanNamesLabelsAndNonLiteralArgs) {
 
 TEST(LintMetricLookup, FlagsRegistryLookupInKernelBodies) {
   const std::string code = R"fx(
-void BatchScheduler::execute_batch(Worker& worker, std::size_t count) {
+DARL_KERNEL void BatchScheduler::execute_batch(Worker& worker, std::size_t count) {
   obs::Registry::global().counter(kServed).add(count);
 }
 )fx";
@@ -463,9 +503,9 @@ void BatchScheduler::execute_batch(Worker& worker, std::size_t count) {
 
 TEST(LintMetricLookup, CleanMacrosStaticHelpersAndNonKernelLookups) {
   // The DARL_* macros cache the instrument in a function-local static, and
-  // lookups in ordinary (non-kernel) functions are out of scope.
+  // lookups in unmarked (non-kernel) functions are out of scope.
   EXPECT_TRUE(scan(R"fx(
-void BatchScheduler::execute_batch(Worker& worker, std::size_t count) {
+DARL_KERNEL void BatchScheduler::execute_batch(Worker& worker, std::size_t count) {
   DARL_COUNTER_ADD("serve.served", count);
   latency_histogram().observe(elapsed_us);
 }

@@ -14,41 +14,47 @@
 #                    under locks, cv-wait predicates, atomic orderings
 #                    (suppressions in tools/darl_verify.supp)
 #   3. build/        Release-style tree, full ctest suite
-#   4. clang-tidy    optional second opinion (no-ops when absent);
+#   4. build-noavx/  darl_linalg without -mavx (DARL_LINALG_AVX=OFF),
+#                    benches and examples off: builds and runs only
+#                    test_linalg and test_nn_batch, so the portable
+#                    4-wide gemm instantiation (SSE2 pairs there) keeps
+#                    its bits in the one configuration no other tree
+#                    compiles
+#   5. clang-tidy    optional second opinion (no-ops when absent);
 #                    thread-safety + concurrency findings are errors
-#   5. build-ubsan/  UndefinedBehaviorSanitizer tree (DARL_SANITIZE=
+#   6. build-ubsan/  UndefinedBehaviorSanitizer tree (DARL_SANITIZE=
 #                    undefined, non-recovering), full ctest suite
-#   6. build-asan/   Address+UB sanitizer tree (DARL_SANITIZE=
+#   7. build-asan/   Address+UB sanitizer tree (DARL_SANITIZE=
 #                    address,undefined) with leak detection on: heap
 #                    misuse and leaks in the serve/obs teardown paths
 #                    show up here
-#   7. build-tsan/   ThreadSanitizer tree (DARL_SANITIZE=thread), which
+#   8. build-tsan/   ThreadSanitizer tree (DARL_SANITIZE=thread), which
 #                    gives the parallel fault-tolerance tests teeth: data
 #                    races in Study::run's threaded evaluate/retry/timeout
 #                    paths show up here, not in the plain build; the
 #                    GemmBitwise suite then reruns in the same tree with
 #                    DARL_LINALG_THREADS=4 so the pool's fixed
 #                    tile-ownership schedule is raced under TSan
-#   8. smoke bench    the gemm/nn/serve/obs micro benchmarks built and run
+#   9. smoke bench    the gemm/nn/serve/obs micro benchmarks built and run
 #                    with a near-zero time budget (BENCH_SMOKE=1
 #                    tools/bench.sh) — keeps the benches and all five
 #                    JSON distillers (incl. the BENCH_9 kernel report)
 #                    working without paying for real timings
-#   9. telemetry smoke: darl_serve started with --obs-port 0, its
+#  10. telemetry smoke: darl_serve started with --obs-port 0, its
 #                    /healthz and /metrics scraped live over /dev/tcp,
 #                    and the serve metric families asserted present
-#  10. fleet smoke:  darl_serve as a 2-shard x 2-tenant fleet under
+#  11. fleet smoke:  darl_serve as a 2-shard x 2-tenant fleet under
 #                    open-loop overload; the scraped labeled counters
 #                    must show low-priority shedding, both tenants
 #                    serving, per-shard queue gauges, and no shed
 #                    counter on the control lane
-#  11. distributed smoke: a darl_worker learner plus two independently
+#  12. distributed smoke: a darl_worker learner plus two independently
 #                    launched darl_worker actor processes train an RLlib
 #                    job over a Unix socket; the learner's /metrics must
 #                    expose the net_* transport families and a nonzero
 #                    net_staleness, both actors must exit 0, and the
 #                    learner must report the run complete
-#  12. determinism audit: the same seeded campaign run twice serially,
+#  13. determinism audit: the same seeded campaign run twice serially,
 #                    once with --parallel 4, and once with the gemm pool
 #                    at DARL_LINALG_THREADS=4 must produce byte-identical
 #                    trials CSVs — with the telemetry sampler + exporter
@@ -119,6 +125,13 @@ stage "darl_verify (concurrency discipline)"
 
 stage "build/ (plain tree + ctest)"
 run_tree build "" "$@"
+
+stage "build-noavx/ (portable 4-wide gemm path, DARL_LINALG_AVX=OFF)"
+cmake -B build-noavx -S . -DDARL_LINALG_AVX=OFF -DDARL_BUILD_BENCHMARKS=OFF \
+    -DDARL_BUILD_EXAMPLES=OFF > /dev/null
+cmake --build build-noavx -j "$JOBS" --target test_linalg test_nn_batch
+./build-noavx/tests/test_linalg
+./build-noavx/tests/test_nn_batch
 
 stage "clang-tidy (optional)"
 tools/run_clang_tidy.sh build

@@ -29,11 +29,13 @@
 //                     ownership keeps results bitwise-deterministic; an
 //                     ad-hoc thread has no such schedule)
 //   heap-alloc-in-kernel  new / .resize( / .push_back( inside the body of
-//                     a function named *_batch, gemm or *dispatch* — the
-//                     batched hot loops and the serve scheduler's dispatch
-//                     path must stay allocation-free; workspace growth
-//                     belongs in ensure_*/reshape helpers called before
-//                     the kernel (suppressible for one-time growth)
+//                     a definition marked DARL_KERNEL (darl/common/
+//                     kernel.hpp) — the batched nn/linalg loops, the gemm
+//                     micro-kernel and its loop nest, and the serve
+//                     scheduler's dispatch path must stay allocation-free;
+//                     workspace growth belongs in ensure_*/reshape helpers
+//                     called before the kernel (suppressible for one-time
+//                     growth)
 //   metric-name       instrument names and label keys passed to
 //                     .counter("...") / .gauge("...") / .histogram("...")
 //                     or the DARL_COUNTER_ADD / DARL_GAUGE_* macros must
@@ -44,11 +46,11 @@
 //                     stripper blanks), so a registration call quoted in a
 //                     comment counts too: keep examples well-formed.
 //   metric-lookup-in-kernel  Registry::global() or a .counter(/.gauge(/
-//                     .histogram( lookup inside a *_batch / gemm /
-//                     *dispatch* body — instrument lookup takes the
-//                     registration mutex and a map walk; hot loops must
-//                     resolve instruments once outside (the DARL_* macros'
-//                     function-local static, or a static helper)
+//                     .histogram( lookup inside a DARL_KERNEL body —
+//                     instrument lookup takes the registration mutex and
+//                     a map walk; hot loops must resolve instruments once
+//                     outside (the DARL_* macros' function-local static,
+//                     or a static helper)
 //   naked-socket-call ::recv( / ::send( / ::accept( anywhere outside
 //                     src/darl/net/ — raw socket I/O forgets one of
 //                     MSG_NOSIGNAL, the EINTR retry, the partial-transfer
@@ -316,7 +318,7 @@ inline bool catch_block_records(const std::string& stripped, std::size_t pos) {
   return std::regex_search(block, records_re);
 }
 
-/// Starting from `paren` (the '(' that follows a gemm / *_batch name),
+/// Starting from `paren` (the '(' that follows a DARL_KERNEL-marked name),
 /// decide whether this is a function *definition* and, if so, return the
 /// [body_open, body_close] brace positions of its body. Declarations and
 /// call expressions are rejected: between the parameter list's ')' and the
@@ -506,41 +508,64 @@ inline std::vector<Finding> scan_source(const std::string& path_in,
     }
   }
 
-  // heap-alloc-in-kernel: gemm and *_batch bodies are the batched hot
-  // loops, and *dispatch* bodies are the serve scheduler's per-request
-  // path; none of them may allocate. Like catch-all, this looks past the
-  // signature line, so it runs on the whole stripped text.
+  // Kernels: a DARL_KERNEL marker in front of a definition declares it a
+  // hot kernel (the batched loops, the gemm micro-kernel and its loop nest,
+  // the serve scheduler's per-request path). The marker is code, so it
+  // survives stripping; the function name is the first identifier after it
+  // that opens a parameter list. The marker's own #define is skipped, and
+  // declarations and calls have no body. Like catch-all, this looks past
+  // the signature line, so it runs on the whole stripped text.
+  struct KernelDef {
+    std::string name;
+    std::size_t body_open = 0, body_close = 0;
+  };
   static const std::regex kernel_def_re(
-      R"(\b(\w*_batch|gemm|\w*dispatch\w*)\s*\()");
-  static const std::regex heap_alloc_re(
-      R"(\bnew\b|[.>]\s*resize\s*\(|[.>]\s*push_back\s*\()");
-  auto kernel_begin =
-      std::sregex_iterator(stripped.begin(), stripped.end(), kernel_def_re);
-  for (auto it = kernel_begin; it != std::sregex_iterator(); ++it) {
+      R"(\bDARL_KERNEL\b[^;{}()]*?\b(\w+)\s*\()");
+  std::vector<KernelDef> kernels;
+  for (auto it = std::sregex_iterator(stripped.begin(), stripped.end(),
+                                      kernel_def_re);
+       it != std::sregex_iterator(); ++it) {
+    const std::size_t marker = static_cast<std::size_t>(it->position());
+    const std::size_t line_start =
+        marker == 0 ? 0 : stripped.find_last_of('\n', marker - 1) + 1;
+    const std::size_t first = stripped.find_first_not_of(" \t", line_start);
+    if (first < marker && stripped[first] == '#') continue;  // #define
     const std::size_t paren =
         static_cast<std::size_t>(it->position() + it->length()) - 1;
-    std::size_t body_open = 0, body_close = 0;
-    if (!detail::kernel_body_range(stripped, paren, body_open, body_close)) {
-      continue;  // declaration or call, not a definition
-    }
-    const std::string body =
-        stripped.substr(body_open, body_close - body_open + 1);
-    auto alloc_begin =
-        std::sregex_iterator(body.begin(), body.end(), heap_alloc_re);
-    for (auto am = alloc_begin; am != std::sregex_iterator(); ++am) {
-      const std::size_t abs =
-          body_open + static_cast<std::size_t>(am->position());
-      const std::size_t line_no =
-          1 + static_cast<std::size_t>(
-                  std::count(stripped.begin(),
-                             stripped.begin() + static_cast<std::ptrdiff_t>(abs),
-                             '\n'));
-      add("heap-alloc-in-kernel", line_no,
-          "heap allocation in batched kernel '" + it->str(1) +
-              "'; grow workspaces via an ensure_*/reshape helper before the "
-              "hot loop (suppress only for one-time workspace growth)");
+    KernelDef def;
+    def.name = it->str(1);
+    if (detail::kernel_body_range(stripped, paren, def.body_open,
+                                  def.body_close)) {
+      kernels.push_back(std::move(def));
     }
   }
+  // Report every match of `re` inside a kernel body under `rule`.
+  auto flag_in_kernels = [&](const std::regex& re, const char* rule,
+                             const std::string& what,
+                             const std::string& advice) {
+    for (const KernelDef& k : kernels) {
+      const std::string body =
+          stripped.substr(k.body_open, k.body_close - k.body_open + 1);
+      for (auto m = std::sregex_iterator(body.begin(), body.end(), re);
+           m != std::sregex_iterator(); ++m) {
+        const std::size_t abs =
+            k.body_open + static_cast<std::size_t>(m->position());
+        const std::size_t line_no =
+            1 + static_cast<std::size_t>(std::count(
+                    stripped.begin(),
+                    stripped.begin() + static_cast<std::ptrdiff_t>(abs), '\n'));
+        add(rule, line_no, what + " '" + k.name + "'; " + advice);
+      }
+    }
+  };
+
+  // heap-alloc-in-kernel: no kernel may allocate.
+  static const std::regex heap_alloc_re(
+      R"(\bnew\b|[.>]\s*resize\s*\(|[.>]\s*push_back\s*\()");
+  flag_in_kernels(heap_alloc_re, "heap-alloc-in-kernel",
+                  "heap allocation in kernel",
+                  "grow workspaces via an ensure_*/reshape helper before the "
+                  "hot loop (suppress only for one-time workspace growth)");
 
   // metric-lookup-in-kernel: like heap-alloc-in-kernel, but for instrument
   // lookup — Registry::global() plus the name->instrument map walk under
@@ -550,31 +575,10 @@ inline std::vector<Finding> scan_source(const std::string& path_in,
   // below do not match them).
   static const std::regex metric_lookup_re(
       R"(\bRegistry\s*::\s*global\b|[.>]\s*(?:counter|gauge|histogram)\s*\()");
-  for (auto it = kernel_begin; it != std::sregex_iterator(); ++it) {
-    const std::size_t paren =
-        static_cast<std::size_t>(it->position() + it->length()) - 1;
-    std::size_t body_open = 0, body_close = 0;
-    if (!detail::kernel_body_range(stripped, paren, body_open, body_close)) {
-      continue;
-    }
-    const std::string body =
-        stripped.substr(body_open, body_close - body_open + 1);
-    auto lookup_begin =
-        std::sregex_iterator(body.begin(), body.end(), metric_lookup_re);
-    for (auto lm = lookup_begin; lm != std::sregex_iterator(); ++lm) {
-      const std::size_t abs =
-          body_open + static_cast<std::size_t>(lm->position());
-      const std::size_t line_no =
-          1 + static_cast<std::size_t>(
-                  std::count(stripped.begin(),
-                             stripped.begin() + static_cast<std::ptrdiff_t>(abs),
-                             '\n'));
-      add("metric-lookup-in-kernel", line_no,
-          "instrument lookup in hot function '" + it->str(1) +
-              "'; resolve the instrument once outside the loop (DARL_* "
-              "macro or a function-local static)");
-    }
-  }
+  flag_in_kernels(metric_lookup_re, "metric-lookup-in-kernel",
+                  "instrument lookup in hot function",
+                  "resolve the instrument once outside the loop (DARL_* "
+                  "macro or a function-local static)");
 
   // metric-name: validate instrument names and label keys at the call
   // site. Scans the RAW content — the names are string literals, which
