@@ -22,9 +22,10 @@
 namespace darl::linalg {
 
 /// One C += alpha * op(A) * B product as the micro-kernel reads it. op(A)
-/// element (r, t) sits at a[r * a_row_stride + t * a_t_stride], so the
-/// packed NT, the NN and the TN flavour share one loop nest; B is row-major
-/// k x n with row stride b_stride; C row r starts at c + r * c_stride.
+/// element (r, t) sits at a[r * a_row_stride + t * a_t_stride], so all
+/// four flavours (NT and TT with B^T packed) share one loop nest; B is
+/// row-major k x n with row stride b_stride; C row r starts at
+/// c + r * c_stride.
 struct GemmOperands {
   double alpha = 1.0;
   const double* a = nullptr;
@@ -39,22 +40,21 @@ struct GemmOperands {
   std::size_t k = 0;
 };
 
-/// Computes C rows [r0, r1) of one product.
-using GemmRowsFn = void (*)(const GemmOperands& g, std::size_t r0,
-                            std::size_t r1);
+/// Computes every C row of one product.
+using GemmRowsFn = void (*)(const GemmOperands& g);
 
 /// Strict, 4 doubles per vector (portable GCC vector types: AVX under the
 /// default -mavx build, SSE2 pairs without it). Runs on every host.
-void gemm_rows_v4(const GemmOperands& g, std::size_t r0, std::size_t r1);
+void gemm_rows_v4(const GemmOperands& g);
 
 #if DARL_LINALG_X86
 /// Strict, 8 doubles per vector, compiled for AVX-512F. Call only when
 /// cpu_has_avx512f(). Bitwise identical to gemm_rows_v4.
-void gemm_rows_v8(const GemmOperands& g, std::size_t r0, std::size_t r1);
+void gemm_rows_v8(const GemmOperands& g);
 
 /// The opt-in fast-math tier: 4 doubles per vector, each term landing via
 /// a fused multiply-add. Call only when cpu_has_avx2_fma().
-void gemm_rows_fused(const GemmOperands& g, std::size_t r0, std::size_t r1);
+void gemm_rows_fused(const GemmOperands& g);
 #endif
 
 /// CPUID: whether gemm_rows_v8 / gemm_rows_fused may run on this host

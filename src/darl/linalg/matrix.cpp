@@ -9,7 +9,6 @@
 #include "darl/common/kernel.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/linalg/gemm_kernels.hpp"
-#include "darl/linalg/thread_pool.hpp"
 
 #if DARL_LINALG_X86
 #include <immintrin.h>
@@ -45,46 +44,6 @@ void Matrix::fill(double value) {
   for (double& v : data_) v = value;
 }
 
-Vec Matrix::matvec(const Vec& x) const {
-  DARL_CHECK(x.size() == cols_, "matvec: x has " << x.size() << ", cols " << cols_);
-  Vec y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row = data_.data() + r * cols_;
-    double s = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) s += row[c] * x[c];
-    y[r] = s;
-  }
-  return y;
-}
-
-Vec Matrix::matvec_t(const Vec& x) const {
-  DARL_CHECK(x.size() == rows_, "matvec_t: x has " << x.size() << ", rows " << rows_);
-  Vec y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row = data_.data() + r * cols_;
-    const double xr = x[r];
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += row[c] * xr;
-  }
-  return y;
-}
-
-void Matrix::add_outer(double alpha, const Vec& u, const Vec& v) {
-  DARL_CHECK(u.size() == rows_ && v.size() == cols_,
-             "add_outer shape mismatch: u " << u.size() << ", v " << v.size()
-                                            << " vs " << rows_ << "x" << cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double* row = data_.data() + r * cols_;
-    const double au = alpha * u[r];
-    for (std::size_t c = 0; c < cols_; ++c) row[c] += au * v[c];
-  }
-}
-
-void Matrix::add_scaled(double alpha, const Matrix& other) {
-  DARL_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
-             "add_scaled shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -94,27 +53,21 @@ namespace {
 // t in ascending order with a scalar chain seeded from the C value already
 // in memory. K-panel boundaries re-seed the chain from C between panels —
 // the same additions in the same order, just interleaved with other rows —
-// so blocking, packing, the vector width and the row-partition parallel
-// schedule are all bitwise-neutral. Only the opt-in fast-math tier (fused
-// multiply-add) rounds differently, and only by the documented divergence
-// bound. The library is compiled with -ffp-contract=off: under an
-// AVX-512 (or FMA) target GCC would otherwise fuse the strict kernels'
-// `acc += a * b` into one rounding.
+// so blocking, packing and the vector width are all bitwise-neutral. Only
+// the opt-in fast-math tier (fused multiply-add) rounds differently, and
+// only by the documented divergence bound. The library is compiled with
+// -ffp-contract=off: under an AVX-512 (or FMA) target GCC would otherwise
+// fuse the strict kernels' `acc += a * b` into one rounding.
 // ---------------------------------------------------------------------------
 
 /// K-panel length: the contraction index is walked in chunks of this many
-/// terms so a panel of the row-major operand stays cache-hot across all of
-/// a worker's C rows (64 terms x 256 cols x 8 bytes = 128 KiB, L2-sized).
+/// terms so a panel of the row-major operand stays cache-hot across all
+/// C rows (64 terms x 256 cols x 8 bytes = 128 KiB, L2-sized).
 constexpr std::size_t kPanelK = 64;
 
 /// C rows the micro-kernel keeps in registers at once (each with two
 /// vectors of columns): 4 x 2 accumulators hide the add latency.
 constexpr std::size_t kBlockRows = 4;
-
-/// m*n*k volume below which gemm stays on the calling thread: chunk
-/// handoff costs more than it saves (batch-1 serve latency must not
-/// regress). 64x64x64 (the training batch shape) sits above it.
-constexpr std::size_t kParallelMinVolume = 131072;
 
 /// NT output rows below which packing op(B) costs more than the
 /// micro-kernel saves; small shapes use the dot-product kernel nt_small.
@@ -130,8 +83,8 @@ bool fast_math_env_default() {
 
 std::atomic<bool> g_fast_math{fast_math_env_default()};
 
-/// Per-thread packing scratch for the NT flavour's transposed copy of
-/// op(B). Thread-local (gemm may run concurrently from serve replicas and
+/// Per-thread packing scratch for the NT and TT flavours' transposed copy
+/// of op(B). Thread-local (gemm may run concurrently from serve replicas and
 /// parallel trials); grows to the largest k x n seen and then stops
 /// allocating. Growth lives here, outside the kernel bodies, per the
 /// darl_lint no-alloc-in-kernel rule.
@@ -263,15 +216,15 @@ DARL_KERNEL [[gnu::always_inline]] inline void micro_rows(const Panel& p,
     for (std::size_t i = 0; i < R; ++i) ct[i * ldc + j] = ctail[i * tw + j];
 }
 
-/// The loop nest: C rows [r0, r1) of C += alpha * op(A) * B. K-panel
-/// outermost, so one panel of B stays hot across all of the worker's rows.
+/// The loop nest: C += alpha * op(A) * B. K-panel outermost, so one panel
+/// of B stays hot across all C rows.
 /// Per panel, B's tail columns are copied once into a zero-padded buffer;
 /// per panel and block of kBlockRows rows, alpha * a_it is computed once
 /// (the rounding every term uses), then the block's chains run over the
 /// panel in ascending t. Scratch lives on the stack; allocates nothing.
 template <class V>
 DARL_KERNEL [[gnu::always_inline]] inline void micro_gemm(
-    const linalg::GemmOperands& g, std::size_t r0, std::size_t r1) {
+    const linalg::GemmOperands& g) {
   constexpr std::size_t W = V::kWidth;
   // Stack scratch, written before every read: ap per row block, btail
   // per panel when there is a tail. Zero-initialising them on every call
@@ -295,8 +248,8 @@ DARL_KERNEL [[gnu::always_inline]] inline void micro_gemm(
           btail[t * p.tail_w + j] = p.b[t * p.ldb + p.n_full + j];
       }
     }
-    for (std::size_t r = r0; r < r1; r += kBlockRows) {
-      const std::size_t rows = std::min(kBlockRows, r1 - r);
+    for (std::size_t r = 0; r < g.m; r += kBlockRows) {
+      const std::size_t rows = std::min(kBlockRows, g.m - r);
       const double* a = g.a + r * g.a_row_stride + t0 * g.a_t_stride;
       if (g.a_t_stride == 1) {  // NT / NN: op(A) rows are contiguous in t
         for (std::size_t i = 0; i < rows; ++i) {
@@ -364,37 +317,6 @@ DARL_KERNEL void nt_small(double alpha, const double* a_base,
   }
 }
 
-/// Chunk context handed to the pool: the operands plus the instantiation
-/// chosen for this call.
-struct ChunkCtx {
-  linalg::GemmOperands ops;
-  linalg::GemmRowsFn rows = nullptr;
-};
-
-/// Fixed tile ownership: worker w of `width` owns C rows
-/// [m*w/width, m*(w+1)/width) — contiguous, disjoint, and a pure function
-/// of (w, width), so the schedule (and every write) is identical across
-/// runs and across threaded vs inline execution.
-DARL_KERNEL void gemm_chunk(void* vctx, std::size_t w, std::size_t width) {
-  const ChunkCtx& ctx = *static_cast<const ChunkCtx*>(vctx);
-  const std::size_t r0 = (ctx.ops.m * w) / width;
-  const std::size_t r1 = (ctx.ops.m * (w + 1)) / width;
-  if (r0 >= r1) return;
-  ctx.rows(ctx.ops, r0, r1);
-}
-
-/// Route a chunk context through the pool when the product volume clears
-/// the parallel threshold, inline otherwise. Inline is chunk (0, 1) — the
-/// whole row range in one call.
-DARL_KERNEL void dispatch_chunks(ChunkCtx& ctx) {
-  linalg::ThreadPool& pool = linalg::ThreadPool::instance();
-  if (pool.width() > 1 && ctx.ops.m * ctx.ops.n * ctx.ops.k >= kParallelMinVolume) {
-    pool.run(&gemm_chunk, &ctx);
-  } else {
-    gemm_chunk(&ctx, 0, 1);
-  }
-}
-
 /// The instantiation for the current call: the fused one when the
 /// fast-math tier is on, else the widest strict one CPUID allows (chosen
 /// once per process).
@@ -413,20 +335,19 @@ linalg::GemmRowsFn rows_kernel() {
 
 namespace linalg {
 
-DARL_KERNEL void gemm_rows_v4(const GemmOperands& g, std::size_t r0,
-                              std::size_t r1) {
-  micro_gemm<StrictVec<4>>(g, r0, r1);
+DARL_KERNEL void gemm_rows_v4(const GemmOperands& g) {
+  micro_gemm<StrictVec<4>>(g);
 }
 
 #if DARL_LINALG_X86
 __attribute__((target("avx512f"))) DARL_KERNEL void gemm_rows_v8(
-    const GemmOperands& g, std::size_t r0, std::size_t r1) {
-  micro_gemm<StrictVec<8>>(g, r0, r1);
+    const GemmOperands& g) {
+  micro_gemm<StrictVec<8>>(g);
 }
 
 __attribute__((target("avx2,fma"))) DARL_KERNEL void gemm_rows_fused(
-    const GemmOperands& g, std::size_t r0, std::size_t r1) {
-  micro_gemm<FusedVec>(g, r0, r1);
+    const GemmOperands& g) {
+  micro_gemm<FusedVec>(g);
 }
 #endif
 
@@ -474,21 +395,6 @@ DARL_KERNEL void Matrix::gemm(double alpha, const Matrix& a, bool trans_a,
   const double* a_base = a.data_.data();
   const double* b_base = b.data_.data();
   double* c_base = c.data_.data();
-  if (trans_a && trans_b) {
-    // C += alpha * A^T * B^T — unused by the network; generic strided form.
-    for (std::size_t r = 0; r < m; ++r) {
-      const double* pa = a_base + r;
-      double* crow = c_base + r * c.cols_;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double* pb = b_base + j * b.cols_;
-        double acc = crow[j];
-        for (std::size_t t = 0; t < kdim; ++t)
-          acc += (alpha * pa[t * a.cols_]) * pb[t];
-        crow[j] = acc;
-      }
-    }
-    return;
-  }
   if (!trans_a && trans_b && m < kNtPackMinRows) {
     // Small NT (batch 1-7 serving): packing op(B) would cost as much as
     // the product; the dot-product kernel reads B^T in place.
@@ -498,37 +404,27 @@ DARL_KERNEL void Matrix::gemm(double alpha, const Matrix& a, bool trans_a,
   }
   // Every other flavour runs the micro-kernel over a row-major B: op(A)
   // is read through (row stride, t stride) — (lda, 1) for A, (1, lda) for
-  // A^T — and the NT flavour first packs B^T into a k x n buffer (layout
-  // only, no arithmetic).
-  ChunkCtx ctx;
-  ctx.ops.alpha = alpha;
-  ctx.ops.a = a_base;
-  ctx.ops.a_row_stride = trans_a ? 1 : a.cols_;
-  ctx.ops.a_t_stride = trans_a ? a.cols_ : 1;
-  ctx.ops.b = b_base;
-  ctx.ops.b_stride = b.cols_;
-  ctx.ops.c = c_base;
-  ctx.ops.c_stride = c.cols_;
-  ctx.ops.m = m;
-  ctx.ops.n = n;
-  ctx.ops.k = kdim;
-  ctx.rows = rows_kernel();
+  // A^T — and the NT and TT flavours first pack B^T into a k x n buffer
+  // (layout only, no arithmetic).
+  linalg::GemmOperands g;
+  g.alpha = alpha;
+  g.a = a_base;
+  g.a_row_stride = trans_a ? 1 : a.cols_;
+  g.a_t_stride = trans_a ? a.cols_ : 1;
+  g.b = b_base;
+  g.b_stride = b.cols_;
+  g.c = c_base;
+  g.c_stride = c.cols_;
+  g.m = m;
+  g.n = n;
+  g.k = kdim;
   if (trans_b) {
     double* pack = pack_workspace(kdim * n);
     pack_b_transposed(b_base, b.cols_, n, kdim, pack);
-    ctx.ops.b = pack;
-    ctx.ops.b_stride = n;
+    g.b = pack;
+    g.b_stride = n;
   }
-  dispatch_chunks(ctx);
-}
-
-Matrix Matrix::multiply(const Matrix& a, const Matrix& b) {
-  DARL_CHECK(a.cols_ == b.rows_,
-             "multiply shape mismatch: " << a.rows_ << "x" << a.cols_ << " * "
-                                         << b.rows_ << "x" << b.cols_);
-  Matrix c(a.rows_, b.cols_, 0.0);
-  gemm(1.0, a, false, b, false, c);
-  return c;
+  rows_kernel()(g);
 }
 
 Matrix Matrix::transposed() const {
@@ -536,15 +432,6 @@ Matrix Matrix::transposed() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   return t;
-}
-
-void Matrix::transpose_into(Matrix& out) const {
-  out.reshape(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* src = data_.data() + r * cols_;
-    double* dst = out.data_.data() + r;
-    for (std::size_t c = 0; c < cols_; ++c) dst[c * rows_] = src[c];
-  }
 }
 
 void Matrix::randomize_kaiming(Rng& rng, double gain) {

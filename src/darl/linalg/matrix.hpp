@@ -1,11 +1,10 @@
 // darl/linalg/matrix.hpp
 //
-// Dense row-major matrix with the BLAS-2/3-lite kernels the neural-network
-// substrate needs: matrix-vector products, rank-1 updates, and a batched
-// GEMM that the nn::Mlp batch path is built on. The GEMM accumulates each
-// output element over the contraction index in ascending order with a
-// scalar accumulator — exactly the summation order of matvec/matvec_t/
-// add_outer — so batched and per-sample results are bitwise identical.
+// Dense row-major matrix and the GEMM that the nn::Mlp batch path is built
+// on. The GEMM extends each output element from its stored value by one
+// scalar chain over the contraction index in ascending order, whatever the
+// flavour, blocking or vector width, so batched and per-sample results
+// are bitwise identical.
 
 #pragma once
 
@@ -55,47 +54,23 @@ class Matrix {
   /// Set every element to `value`.
   void fill(double value);
 
-  /// y = A * x. Requires x.size() == cols(); returns a rows()-vector.
-  Vec matvec(const Vec& x) const;
-
-  /// y = A^T * x. Requires x.size() == rows(); returns a cols()-vector.
-  Vec matvec_t(const Vec& x) const;
-
-  /// A += alpha * u * v^T. Requires u.size() == rows(), v.size() == cols().
-  void add_outer(double alpha, const Vec& u, const Vec& v);
-
-  /// this += alpha * other (same shape).
-  void add_scaled(double alpha, const Matrix& other);
-
   /// C += alpha * op(A) * op(B), where op is the identity or the transpose.
   /// C must be pre-shaped to op(A).rows x op(B).cols; the only heap scratch
   /// is a thread-local packing buffer that stops growing once the largest
-  /// shape has been seen. Each C element accumulates over the contraction
-  /// index in ascending order (seeded from the existing C value), matching
-  /// the matvec / matvec_t / add_outer summation order bit for bit —
-  /// across flavours, K-panel blocking, operand packing, the vector width
-  /// (chosen from CPUID), AND the thread count: large products are
-  /// row-partitioned over the persistent
-  /// linalg::ThreadPool (width from DARL_LINALG_THREADS, default 1) with
-  /// fixed disjoint row ownership per worker, so results are bitwise
-  /// identical at any width. Products below a volume threshold stay on the
-  /// calling thread (batch-1 latency). The opt-in fast-math tier
+  /// shape has been seen. Runs on the calling thread. Each C element is
+  /// its stored value extended by (alpha * a_it) * b_tj, t ascending, one
+  /// rounded multiply and one rounded add per term — the scalar chain
+  /// tests/test_linalg.cpp's reference_gemm spells out — bit for bit
+  /// across flavours, K-panel blocking, operand packing and the vector
+  /// width (chosen from CPUID). The opt-in fast-math tier
   /// (DARL_FAST_MATH=1 / set_fast_math) swaps the strict micro-kernel for
   /// its AVX2+FMA instantiation: same term order, fused rounding — see
   /// DESIGN.md §16 for the divergence bound; campaigns force it off.
   static void gemm(double alpha, const Matrix& a, bool trans_a,
                    const Matrix& b, bool trans_b, Matrix& c);
 
-  /// C = A * B (shapes must be compatible). Routed through gemm.
-  static Matrix multiply(const Matrix& a, const Matrix& b);
-
   /// Transposed copy.
   Matrix transposed() const;
-
-  /// Transpose into a caller-owned workspace (reshaped to cols x rows, no
-  /// allocation once the workspace has its capacity). Lets hot paths trade
-  /// a strided gemm operand for a one-off transposed copy.
-  void transpose_into(Matrix& out) const;
 
   /// Fill with He/Kaiming-style scaled normal draws: N(0, gain/sqrt(cols)).
   /// Used for layer weight initialization.
@@ -118,7 +93,7 @@ void set_fast_math(bool on);
 bool fast_math_active();
 
 /// m(r, c) += bias[c] for every row r. Requires bias.size() == m.cols().
-/// Identical per row to axpy(1.0, bias, z) on a matvec result.
+/// Per row, the same additions as axpy(1.0, bias, row).
 void add_bias(Matrix& m, const Vec& bias);
 
 /// Element-wise tanh / rectifier over the whole matrix, in place. Same

@@ -6,7 +6,6 @@
 #include "darl/common/error.hpp"
 #include "darl/common/kernel.hpp"
 #include "darl/common/rng.hpp"
-#include "darl/nn/quantize.hpp"
 #include "darl/obs/metrics.hpp"
 
 namespace darl::nn {
@@ -142,36 +141,6 @@ DARL_KERNEL const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
   return *a;
 }
 
-void Mlp::ensure_quant_ws() const {
-  std::size_t widest = 0;
-  for (std::size_t l = 0; l + 1 < sizes_.size(); ++l)
-    widest = std::max(widest, sizes_[l]);
-  if (ws_qx_.size() < widest) ws_qx_.resize(widest);
-}
-
-const Matrix& Mlp::evaluate_batch_quantized(const Matrix& x,
-                                            const QuantizedNet& qn) const {
-  DARL_CHECK(x.cols() == input_dim(),
-             "Mlp input has " << x.cols() << " dims, expected " << input_dim());
-  DARL_CHECK(qn.sizes == sizes_,
-             "quantized net architecture does not match this Mlp");
-  const std::size_t batch = x.rows();
-  const std::size_t layers = weights_.size();
-  record_batch(batch, flops_fwd_ * static_cast<double>(batch));
-  ensure_quant_ws();
-  const Matrix* a = &x;
-  Matrix* z = &ws_eval_a_;
-  Matrix* spare = &ws_eval_b_;
-  for (std::size_t l = 0; l < layers; ++l) {
-    z->reshape(batch, sizes_[l + 1]);
-    quantized_layer_forward(qn.layers[l], *a, ws_qx_.data(), *z);
-    if (l + 1 < layers) apply_act(*z);
-    a = z;
-    std::swap(z, spare);
-  }
-  return *a;
-}
-
 DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
   DARL_CHECK(forward_rows_ > 0, "backward_batch() without a preceding forward_batch()");
   DARL_CHECK(grad_output.rows() == forward_rows_ && grad_output.cols() == output_dim(),
@@ -193,7 +162,7 @@ DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
     act_grad_and_bias_grad(*delta, li + 1 < layers ? &ws_act_[li + 1] : nullptr,
                            grad_b_[li]);
     // grad_w += delta^T * activations: element (r, c) accumulates over
-    // samples in ascending order, exactly like per-sample add_outer calls.
+    // samples in ascending order, exactly like one backward per sample.
     Matrix::gemm(1.0, *delta, true, ws_act_[li], false, grad_w_[li]);
     spare->reshape(batch, sizes_[li]);
     spare->fill(0.0);

@@ -10,14 +10,13 @@
 // Matrix::gemm and reuse per-net workspace buffers (activations,
 // pre-activations, deltas), so the steady-state hot loop performs zero
 // heap allocations. The per-sample forward/backward/evaluate API is a thin
-// batch-of-1 wrapper over the same kernels. Because gemm accumulates each
-// output element over the contraction index in the same order as
-// matvec/matvec_t/add_outer, batched and per-sample results are bitwise
-// identical (see DESIGN.md §11).
+// batch-of-1 wrapper over the same kernels. Because gemm extends each
+// output element by one ascending-t scalar chain whatever the batch size,
+// batched and per-sample results are bitwise identical (see DESIGN.md
+// §11).
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,8 +26,6 @@ namespace darl::nn {
 
 /// Hidden-layer activation functions.
 enum class Activation { Tanh, ReLU };
-
-struct QuantizedNet;  // darl/nn/quantize.hpp
 
 /// A reference to one parameter buffer and its gradient accumulator.
 /// Optimizers iterate these; the referenced storage is owned by the model.
@@ -79,18 +76,6 @@ class Mlp {
   /// evaluate/evaluate_batch call.
   const Matrix& evaluate_batch(const Matrix& x) const;
 
-  /// Batched int8 inference through a quantized snapshot of this
-  /// network's parameters (see darl/nn/quantize.hpp for the scheme). `qn`
-  /// must have been quantized from a network with this architecture. Rows
-  /// are processed independently with exact int32 accumulation, so the
-  /// result is bitwise identical whether samples arrive batched or one at
-  /// a time — the serving self-check for quantized tenants relies on
-  /// this. Lossy versus evaluate_batch within the bound returned by
-  /// quantization_logit_error_bound. Returns a reference into the
-  /// evaluation workspace, valid until the next evaluate call.
-  const Matrix& evaluate_batch_quantized(const Matrix& x,
-                                         const QuantizedNet& qn) const;
-
   /// Batched backward for the immediately preceding forward_batch.
   /// grad_output is (batch x output_dim); row i must hold dL/dy for row i
   /// of the forward input. Accumulates parameter gradients exactly as the
@@ -130,10 +115,6 @@ class Mlp {
   /// until the largest batch has been seen.
   void ensure_forward_ws(std::size_t batch);
 
-  /// Grow the quantized-path scratch (one uint8 row of the widest layer
-  /// input). Allocation lives here, outside the kernels.
-  void ensure_quant_ws() const;
-
   /// In-place activation application; identical scalar math to the
   /// per-sample act.
   void apply_act(Matrix& z) const;
@@ -168,8 +149,6 @@ class Mlp {
   // Batch-of-1 staging rows for the per-sample wrappers.
   Matrix ws_x1_, ws_g1_;
   mutable Matrix ws_eval_x1_;
-  // Quantized-activation row scratch for evaluate_batch_quantized.
-  mutable std::vector<std::uint8_t> ws_qx_;
   Vec output_;
   std::size_t forward_rows_ = 0;  ///< rows of the pending forward (0 = none)
 };

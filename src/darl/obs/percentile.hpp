@@ -3,7 +3,7 @@
 // Shared percentile math for telemetry consumers. The sample-percentile
 // function used to live in darl/common/stats (and before that was
 // re-derived ad hoc by the serve CLI and bench); it now has one home here
-// so darl_serve's stats table, bench_serve, darl_top and the report
+// so darl_serve's stats table, perfbench, darl_top and the report
 // renderers all agree on the interpolation rule. histogram_percentile adds
 // the bucketed estimate needed when only a fixed-bucket histogram (the
 // exporter's native shape) is available.

@@ -43,8 +43,8 @@ class ExplicitRk final : public Integrator {
                       bool k0_valid);
 };
 
-/// Fixed-step explicit RK driver (used with rk4_classic in tests and
-/// microbenchmarks). Takes `n_steps` equal steps over the interval.
+/// Fixed-step explicit RK driver (used with rk4_classic in tests). Takes
+/// `n_steps` equal steps over the interval.
 class FixedStepRk final : public Integrator {
  public:
   FixedStepRk(ButcherTableau tableau, std::size_t n_steps);

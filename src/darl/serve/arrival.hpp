@@ -15,8 +15,8 @@
 //   HeavyTail  Pareto(alpha = 1.5) gaps — rare long silences paid for by
 //              clumps of near-simultaneous arrivals (self-similar load)
 //
-// Used by tools/darl_serve.cpp (--open-loop --arrival) and
-// bench/bench_serve.cpp (BM_ServeOpenLoop, distilled into BENCH_7.json).
+// Used by tools/darl_serve.cpp (--open-loop --arrival) and by perfbench's
+// open-loop serve phase (Poisson).
 
 #pragma once
 

@@ -80,8 +80,6 @@ BatchScheduler::BatchScheduler(const PolicyStore& store, ServeConfig config)
   batches_ctr_ = &registry.counter("serve.batches", config_.labels);
   replica_refresh_ctr_ =
       &registry.counter("serve.replica_refresh", config_.labels);
-  quantized_batches_ctr_ =
-      &registry.counter("serve.quantized_batches", config_.labels);
   batch_rows_hist_ =
       &registry.histogram("serve.batch_rows", batch_rows_bounds(),
                           config_.labels);
@@ -285,11 +283,7 @@ DARL_KERNEL void BatchScheduler::execute_batch(Worker& worker,
     const Vec& obs = *worker.batch[i]->obs;
     std::copy(obs.begin(), obs.end(), worker.obs_mat.row(i));
   }
-  const Matrix& heads =
-      config_.quantized
-          ? worker.net->evaluate_batch_quantized(worker.obs_mat,
-                                                 *version->quantized)
-          : worker.net->evaluate_batch(worker.obs_mat);
+  const Matrix& heads = worker.net->evaluate_batch(worker.obs_mat);
   for (std::size_t i = 0; i < count; ++i) {
     Request* request = worker.batch[i];
     decode_head(version->spec, heads.row(i), request->out->action);
@@ -299,7 +293,6 @@ DARL_KERNEL void BatchScheduler::execute_batch(Worker& worker,
   if (obs::metrics_enabled()) {
     batches_ctr_->add(1);
     served_ctr_->add(count);
-    if (config_.quantized) quantized_batches_ctr_->add(1);
     batch_rows_hist_->observe(static_cast<double>(count));
   }
 }

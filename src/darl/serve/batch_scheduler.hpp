@@ -67,13 +67,6 @@ struct ServeConfig {
   /// is runnable. Set false to sleep out max_delay_us unconditionally
   /// (fixed-window batching; higher latency, predictable flush cadence).
   bool gather = true;
-  /// Serve through the int8 quantized inference path: workers evaluate
-  /// the PolicyVersion's publish-time quantized snapshot instead of the
-  /// exact double weights. Lossy versus the exact path (bounded logit
-  /// error, see darl/nn/quantize.hpp) but still bitwise-reproducible
-  /// against a quantized DirectPolicy, so the self-check holds per mode.
-  /// serve::Router sets this per tenant (exact-mode fallback).
-  bool quantized = false;
   /// Bounded admission queue; requests beyond this are rejected.
   std::size_t queue_capacity = 256;
   /// Dispatch worker threads. 0 is a test-only mode: nothing dispatches,
@@ -182,7 +175,6 @@ class BatchScheduler {
   obs::Counter* served_ctr_ = nullptr;
   obs::Counter* batches_ctr_ = nullptr;
   obs::Counter* replica_refresh_ctr_ = nullptr;
-  obs::Counter* quantized_batches_ctr_ = nullptr;
   std::array<obs::Counter*, kOutcomeCount> outcome_ctr_{};
   std::array<obs::Histogram*, kOutcomeCount> latency_hist_{};
   obs::Histogram* batch_rows_hist_ = nullptr;

@@ -172,12 +172,6 @@ std::uint64_t PolicyStore::publish(const std::string& tenant_name,
   auto version = std::make_unique<PolicyVersion>();
   version->spec = std::move(spec);
   version->params_digest = digest_params(version->spec.net_params);
-  // Quantize at publish time, outside the lock: every version carries its
-  // int8 snapshot so quantized-mode schedulers never re-derive scales on
-  // the serving path (and exact-mode tenants simply never read it).
-  version->quantized = std::make_shared<const nn::QuantizedNet>(
-      nn::quantize_mlp_params(version->spec.sizes, version->spec.activation,
-                              version->spec.net_params));
 
   std::lock_guard<std::mutex> lock(publish_mutex_);
   auto it = tenants_.find(tenant_name);
@@ -239,31 +233,16 @@ std::uint64_t PolicyStore::version_count(
   return it != tenants_.end() ? it->second->retained_.size() : 0;
 }
 
-DirectPolicy::DirectPolicy(const PolicySpec& spec, bool quantized)
+DirectPolicy::DirectPolicy(const PolicySpec& spec)
     : spec_(spec), net_([&] {
         Rng init(0);
         return nn::Mlp(spec.sizes, spec.activation, init);
       }()) {
   net_.set_flat_params(spec_.net_params);
-  if (quantized) {
-    quantized_ = std::make_shared<const nn::QuantizedNet>(
-        nn::quantize_mlp_params(spec_.sizes, spec_.activation,
-                                spec_.net_params));
-    obs_row_.reshape(1, spec_.input_dim());
-  }
   action_.assign(spec_.action_dim(), 0.0);
 }
 
 Vec DirectPolicy::act(const Vec& obs) {
-  if (quantized_ != nullptr) {
-    // Batch-of-1 through the same int8 kernel the scheduler runs; rows
-    // are independent there, so this is the bitwise reference for any
-    // batched quantized serve of the same observation.
-    std::copy(obs.begin(), obs.end(), obs_row_.data().begin());
-    const Matrix& head = net_.evaluate_batch_quantized(obs_row_, *quantized_);
-    decode_head(spec_, head.row(0), action_);
-    return action_;
-  }
   const Vec head = net_.evaluate(obs);
   decode_head(spec_, head.data(), action_);
   return action_;

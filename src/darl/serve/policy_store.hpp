@@ -33,7 +33,6 @@
 #include "darl/common/thread_safety.hpp"
 #include "darl/env/space.hpp"
 #include "darl/nn/mlp.hpp"
-#include "darl/nn/quantize.hpp"
 #include "darl/rl/checkpoint.hpp"
 
 namespace darl::serve {
@@ -83,11 +82,6 @@ struct PolicyVersion {
   std::uint64_t id = 0;
   PolicySpec spec;
   std::uint64_t params_digest = 0;  ///< fnv1a64 over net_params bytes
-  /// int8 row-quantized snapshot of spec.net_params, derived once at
-  /// publish time so scheduler replicas in quantized mode share it
-  /// read-only (the replicas' Mlp instances keep the exact parameters;
-  /// the quantized weights ride on the immutable version instead).
-  std::shared_ptr<const nn::QuantizedNet> quantized;
 };
 
 /// Versioned, swap-under-traffic, multi-tenant policy holder.
@@ -182,14 +176,10 @@ class PolicyStore {
 /// Reference single-observation inference path: per-sample Mlp::evaluate
 /// plus greedy decode, with no batching anywhere. Tests, the CLI
 /// self-check and the deploy example compare served actions against this
-/// bitwise. With `quantized` set it runs the int8 batch-of-1 path
-/// instead — the reference for quantized-mode tenants, which is likewise
-/// bitwise-reproducible because the int8 kernel reduces each sample
-/// independently in exact integer arithmetic. Not thread-safe (owns one
-/// Mlp workspace); make one per thread.
+/// bitwise. Not thread-safe (owns one Mlp workspace); make one per thread.
 class DirectPolicy {
  public:
-  explicit DirectPolicy(const PolicySpec& spec, bool quantized = false);
+  explicit DirectPolicy(const PolicySpec& spec);
 
   /// Greedy action for one observation.
   Vec act(const Vec& obs);
@@ -197,8 +187,6 @@ class DirectPolicy {
  private:
   PolicySpec spec_;
   nn::Mlp net_;
-  std::shared_ptr<const nn::QuantizedNet> quantized_;  ///< null = exact
-  Matrix obs_row_;
   Vec action_;
 };
 

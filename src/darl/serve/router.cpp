@@ -54,10 +54,6 @@ Router::Router(const PolicyStore& store, RouterConfig config)
   for (const std::string& name : names) {
     auto group = std::make_unique<TenantGroup>();
     group->name = name;
-    group->quantized =
-        config_.quantized &&
-        std::find(config_.exact_tenants.begin(), config_.exact_tenants.end(),
-                  name) == config_.exact_tenants.end();
     group->quota.store(config_.default_quota, std::memory_order_relaxed);
     const std::string label = tenant_label(name);
     group->requests_ctr =
@@ -81,7 +77,6 @@ Router::Router(const PolicyStore& store, RouterConfig config)
     for (std::size_t s = 0; s < config_.shards; ++s) {
       ServeConfig shard_config = config_.shard;
       shard_config.tenant = name;
-      shard_config.quantized = group->quantized;
       shard_config.labels = {{"tenant", label},
                              {"shard", std::to_string(s)}};
       group->shards.push_back(
@@ -171,11 +166,6 @@ std::vector<std::string> Router::tenant_names() const {
   names.reserve(tenants_.size());
   for (const auto& [name, group] : tenants_) names.push_back(name);
   return names;
-}
-
-bool Router::tenant_quantized(const std::string& tenant_name) const {
-  const TenantGroup* group = find_tenant(tenant_name);
-  return group != nullptr && group->quantized;
 }
 
 BatchScheduler* Router::shard(const std::string& tenant_name,

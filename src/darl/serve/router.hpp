@@ -60,15 +60,6 @@ struct RouterConfig {
   /// Per-tenant in-flight admission quota applied before shedding
   /// (0 = unlimited). Override per tenant with set_quota().
   std::size_t default_quota = 0;
-  /// Serve every tenant through the int8 quantized path (overrides the
-  /// shard template's ServeConfig::quantized)...
-  bool quantized = false;
-  /// ...except these tenants, which stay on the exact double path
-  /// regardless (per-tenant exact-mode fallback; ignored when `quantized`
-  /// is false). A tenant's mode is fixed at construction and applies to
-  /// all of its shards, so each tenant's self-check reference is
-  /// unambiguous.
-  std::vector<std::string> exact_tenants;
 };
 
 /// Router over one PolicyStore: one shard group per tenant that had
@@ -102,10 +93,6 @@ class Router {
   std::size_t shard_count() const { return config_.shards; }
   std::vector<std::string> tenant_names() const;
 
-  /// Whether a tenant's shards run the quantized inference path (false
-  /// for unknown tenants). Fixed at construction.
-  bool tenant_quantized(const std::string& tenant_name) const;
-
   /// Direct access to one shard scheduler (tests/diagnostics); nullptr
   /// for unknown tenants.
   BatchScheduler* shard(const std::string& tenant_name, std::size_t index);
@@ -119,7 +106,6 @@ class Router {
   /// construction: lookups are lock-free reads.
   struct TenantGroup {
     std::string name;
-    bool quantized = false;  ///< fixed at construction, applies to all shards
     std::vector<std::unique_ptr<BatchScheduler>> shards;
     std::atomic<std::size_t> in_flight{0};
     std::atomic<std::size_t> quota{0};

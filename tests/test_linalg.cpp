@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/stats.hpp"
 #include "darl/linalg/gemm_kernels.hpp"
 #include "darl/linalg/matrix.hpp"
-#include "darl/linalg/thread_pool.hpp"
 #include "darl/linalg/vec.hpp"
 
 namespace darl {
@@ -60,50 +61,15 @@ TEST(Vec, RmsNormScaled) {
   EXPECT_DOUBLE_EQ(rms_norm_scaled({}, {}), 0.0);
 }
 
-TEST(Matrix, MatvecAndTranspose) {
+TEST(Matrix, Transpose) {
   Matrix a(2, 3);
   // [[1,2,3],[4,5,6]]
   for (std::size_t r = 0; r < 2; ++r)
     for (std::size_t c = 0; c < 3; ++c)
       a(r, c) = static_cast<double>(r * 3 + c + 1);
-  const Vec y = a.matvec({1.0, 0.0, -1.0});
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-  const Vec z = a.matvec_t({1.0, 1.0});
-  EXPECT_DOUBLE_EQ(z[0], 5.0);
-  EXPECT_DOUBLE_EQ(z[1], 7.0);
-  EXPECT_DOUBLE_EQ(z[2], 9.0);
   const Matrix t = a.transposed();
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-  EXPECT_THROW(a.matvec({1.0}), InvalidArgument);
-}
-
-TEST(Matrix, AddOuterAndAddScaled) {
-  Matrix a(2, 2, 1.0);
-  a.add_outer(2.0, {1.0, 0.0}, {3.0, 4.0});
-  EXPECT_DOUBLE_EQ(a(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 9.0);
-  EXPECT_DOUBLE_EQ(a(1, 0), 1.0);
-
-  Matrix b(2, 2, 0.5);
-  a.add_scaled(2.0, b);
-  EXPECT_DOUBLE_EQ(a(1, 1), 2.0);
-  Matrix wrong(3, 2);
-  EXPECT_THROW(a.add_scaled(1.0, wrong), InvalidArgument);
-}
-
-TEST(Matrix, MultiplyAgainstManual) {
-  Matrix a(2, 3), b(3, 2);
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = static_cast<double>(i + 1);
-  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = static_cast<double>(i);
-  const Matrix c = Matrix::multiply(a, b);
-  // a = [[1,2,3],[4,5,6]]; b = [[0,1],[2,3],[4,5]]
-  EXPECT_DOUBLE_EQ(c(0, 0), 16.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 34.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 49.0);
-  EXPECT_THROW(Matrix::multiply(a, a), InvalidArgument);
 }
 
 TEST(Matrix, BoundsCheckedAccess) {
@@ -125,19 +91,70 @@ TEST(Matrix, KaimingInitStatistics) {
   EXPECT_NEAR(s.stddev(), 1.0 / 16.0, 0.002);  // gain/sqrt(cols) = 1/16
 }
 
+// gemm's operand semantics against a product worked by hand: C = 1 +
+// 2 * A * B with A = [[1,2,3],[4,5,6]] and B = [[0,1],[2,3],[4,5]], so
+// A * B = [[16,22],[34,49]]. Each flavour gets the operand it transposes
+// stored transposed; every value is exact in binary.
+TEST(Matrix, GemmFlavoursAgainstManual) {
+  Matrix a(2, 3), b(3, 2);
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = static_cast<double>(i + 1);
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = static_cast<double>(i);
+  const Matrix at = a.transposed();
+  const Matrix bt = b.transposed();
+  for (const bool trans_a : {false, true}) {
+    for (const bool trans_b : {false, true}) {
+      Matrix c(2, 2, 1.0);
+      Matrix::gemm(2.0, trans_a ? at : a, trans_a, trans_b ? bt : b, trans_b,
+                   c);
+      const char* flavour = trans_a ? (trans_b ? "TT" : "TN")
+                                    : (trans_b ? "NT" : "NN");
+      EXPECT_EQ(c(0, 0), 33.0) << flavour;
+      EXPECT_EQ(c(0, 1), 45.0) << flavour;
+      EXPECT_EQ(c(1, 0), 69.0) << flavour;
+      EXPECT_EQ(c(1, 1), 99.0) << flavour;
+    }
+  }
+}
+
+// A shape mismatch throws before gemm writes anything, in every flavour.
+TEST(Matrix, GemmRejectsMismatchedShapes) {
+  const Matrix a(2, 3, 1.0);  // op(A) is 2x3 (N) or 3x2 (T)
+  const Matrix b(4, 2, 1.0);  // op(B) is 4x2 (N) or 2x4 (T)
+  for (const bool trans_a : {false, true}) {
+    for (const bool trans_b : {false, true}) {
+      // Inner dimensions 3 or 2 against 4 or 2: only TT agrees (2 == 2).
+      const std::size_t m = trans_a ? 3 : 2, n = trans_b ? 4 : 2;
+      Matrix c(m, n, 7.0);
+      if (trans_a && trans_b) {
+        Matrix wrong(n, m, 7.0);  // right sizes, rows and columns swapped
+        EXPECT_THROW(Matrix::gemm(1.0, a, true, b, true, wrong),
+                     InvalidArgument);
+        for (const double v : wrong.data()) EXPECT_EQ(v, 7.0);
+        Matrix::gemm(1.0, a, true, b, true, c);
+        EXPECT_EQ(c(0, 0), 9.0);  // 7 + two unit terms
+        continue;
+      }
+      EXPECT_THROW(Matrix::gemm(1.0, a, trans_a, b, trans_b, c),
+                   InvalidArgument)
+          << (trans_a ? "T" : "N") << (trans_b ? "T" : "N");
+      for (const double v : c.data()) EXPECT_EQ(v, 7.0);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Blocked / threaded gemm vs. the canonical accumulation chain
+// Blocked gemm vs. the canonical accumulation chain
 //
 // Matrix::gemm documents one per-element contract: each C(i, j) is the
 // stored value extended by (alpha * a_it) * b_tj terms in ascending t, one
 // chained scalar add per term. The reference below is that contract
 // written as the plainest possible triple loop — the pre-blocking PR-4
-// loop order. Blocking, packing, the vector width and the pool's row
-// partition must all be bitwise-invisible against it, at every width, for
-// every flavour and every micro-kernel instantiation, on shapes chosen to
-// stress the edges (prime dims, K not a multiple of the 64-term panel,
-// column and row tails of the register block, m below the NT packing
-// cutoff) plus the learner's own batch-64 shapes.
+// loop order. Blocking, packing and the vector width must all be
+// bitwise-invisible against it, for every flavour and every micro-kernel
+// instantiation, on shapes chosen to stress the edges (prime dims, K not
+// a multiple of the 64-term panel, column and row tails of the register
+// block, m below the NT packing cutoff) plus the learner's own batch-64
+// shapes.
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -191,45 +208,38 @@ void for_each_shape(F&& f) {
   for (const GemmShape& s : kLearnerShapes) f(s);
 }
 
-/// Run one flavour over the shape set at pool widths 1, 2 and 4 and demand
-/// bitwise equality with the reference chain every time.
+/// Run one flavour over the shape set and demand bitwise equality with the
+/// reference chain.
 void check_flavour_bitwise(bool trans_a, bool trans_b) {
-  linalg::ThreadPool& pool = linalg::ThreadPool::instance();
   Rng rng(17);
   for_each_shape([&](const GemmShape& s) {
     const Matrix a = trans_a ? random_matrix(s.k, s.m, rng)
                              : random_matrix(s.m, s.k, rng);
     const Matrix b = trans_b ? random_matrix(s.n, s.k, rng)
                              : random_matrix(s.k, s.n, rng);
-    const Matrix c0 = random_matrix(s.m, s.n, rng);  // nonzero seed values
+    Matrix c = random_matrix(s.m, s.n, rng);  // nonzero seed values
     const double alpha = -0.75;
-    Matrix expected = c0;
+    Matrix expected = c;
     reference_gemm(alpha, a, trans_a, b, trans_b, expected);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-      pool.configure(width);
-      Matrix c = c0;
-      Matrix::gemm(alpha, a, trans_a, b, trans_b, c);
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        ASSERT_EQ(c.data()[i], expected.data()[i])
-            << "flavour " << (trans_a ? "T" : "N") << (trans_b ? "T" : "N")
-            << " shape " << s.m << "x" << s.n << "x" << s.k << " width "
-            << width << " element " << i;
-      }
+    Matrix::gemm(alpha, a, trans_a, b, trans_b, c);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(c.data()[i], expected.data()[i])
+          << "flavour " << (trans_a ? "T" : "N") << (trans_b ? "T" : "N")
+          << " shape " << s.m << "x" << s.n << "x" << s.k << " element "
+          << i;
     }
   });
-  pool.configure(linalg::env_thread_width());
 }
 
-TEST(GemmBitwise, NtMatchesReferenceChainAtAllWidths) {
+TEST(GemmBitwise, NtMatchesReferenceChain) {
   check_flavour_bitwise(false, true);
 }
 
-TEST(GemmBitwise, TnMatchesReferenceChainAtAllWidths) {
+TEST(GemmBitwise, TnMatchesReferenceChain) {
   check_flavour_bitwise(true, false);
 }
 
-TEST(GemmBitwise, NnMatchesReferenceChainAtAllWidths) {
+TEST(GemmBitwise, NnMatchesReferenceChain) {
   check_flavour_bitwise(false, false);
 }
 
@@ -243,9 +253,8 @@ TEST(GemmBitwise, TtMatchesReferenceChain) {
 // the 4-wide path would go unchecked on an AVX-512 host.
 
 /// C += alpha * op(A) * op(B) through one instantiation: op(B) is handed
-/// over as a row-major k x n copy (what Matrix::gemm's NT packing builds),
-/// op(A) through its (row stride, t stride) pair, and the rows are split
-/// in two calls the way the pool partitions them.
+/// over as a row-major k x n copy (what Matrix::gemm's NT and TT packing
+/// builds), op(A) through its (row stride, t stride) pair.
 void run_instantiation(linalg::GemmRowsFn fn, double alpha, const Matrix& a,
                        bool trans_a, const Matrix& b, bool trans_b,
                        Matrix& c) {
@@ -262,9 +271,7 @@ void run_instantiation(linalg::GemmRowsFn fn, double alpha, const Matrix& a,
   g.m = c.rows();
   g.n = c.cols();
   g.k = bk.rows();
-  const std::size_t split = g.m / 3;
-  fn(g, 0, split);
-  fn(g, split, g.m);
+  fn(g);
 }
 
 void check_instantiation_bitwise(linalg::GemmRowsFn fn) {
@@ -332,8 +339,8 @@ TEST(GemmBitwise, StrictPathsNeverContract) {
 #if DARL_LINALG_X86
   if (linalg::cpu_has_avx512f()) check_contraction(&linalg::gemm_rows_v8, 0.0);
 #endif
-  // And the dispatched gemm in every flavour (nt_small and the TT loop
-  // included), at k = 1.
+  // And the dispatched gemm in every flavour (nt_small included), at
+  // k = 1.
   for (const GemmShape& s : kLearnerShapes) {
     for (const bool trans_a : {false, true}) {
       for (const bool trans_b : {false, true}) {
@@ -374,33 +381,44 @@ TEST(GemmBitwise, NtBatchedRowsEqualPerRowProducts) {
   }
 }
 
-// Regression: configure() after a threaded run must restart the epoch
-// along with the workers. A stale epoch woke freshly spawned workers
-// straight into the previous run's task_/ctx_ — a dangling pointer to a
-// returned stack frame (crashed the width-sweep bench). Alternate widths
-// with parallel-sized runs between every reconfigure; each run must still
-// match the reference chain, and the sanitizer trees watch the rest.
-TEST(GemmBitwise, ReconfigureAfterThreadedRunStaysSound) {
-  linalg::ThreadPool& pool = linalg::ThreadPool::instance();
-  Rng rng(31);
-  const std::size_t m = 64, n = 64, k = 64;  // above the parallel cutoff
-  const Matrix a = random_matrix(m, k, rng);
-  const Matrix b = random_matrix(n, k, rng);
-  const Matrix c0 = random_matrix(m, n, rng);
-  Matrix expected = c0;
-  reference_gemm(1.0, a, false, b, true, expected);
-  for (const std::size_t width : {std::size_t{4}, std::size_t{2},
-                                  std::size_t{4}, std::size_t{1},
-                                  std::size_t{4}}) {
-    pool.configure(width);
-    Matrix c = c0;
-    Matrix::gemm(1.0, a, false, b, true, c);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      ASSERT_EQ(c.data()[i], expected.data()[i])
-          << "width " << width << " element " << i;
-    }
+// gemm runs on its caller's thread, and serve workers, trial lanes and
+// actor threads call it at once. Concurrent callers must each get the
+// reference bits: the NT/TT packing scratch is per thread, and nothing
+// else is shared. Each thread walks the shape set from a different start,
+// so differently sized products (and scratch growth) overlap in time.
+TEST(GemmBitwise, ConcurrentCallersMatchReferenceChain) {
+  std::vector<GemmShape> shapes;
+  for_each_shape([&](const GemmShape& s) { shapes.push_back(s); });
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      Rng rng(41 + tid);
+      for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < shapes.size(); ++i) {
+          const GemmShape& s = shapes[(i + tid * 3) % shapes.size()];
+          for (const bool trans_a : {false, true}) {
+            for (const bool trans_b : {false, true}) {
+              const Matrix a = trans_a ? random_matrix(s.k, s.m, rng)
+                                       : random_matrix(s.m, s.k, rng);
+              const Matrix b = trans_b ? random_matrix(s.n, s.k, rng)
+                                       : random_matrix(s.k, s.n, rng);
+              Matrix c = random_matrix(s.m, s.n, rng);
+              Matrix expected = c;
+              reference_gemm(-0.75, a, trans_a, b, trans_b, expected);
+              Matrix::gemm(-0.75, a, trans_a, b, trans_b, c);
+              if (c.data() != expected.data()) ++mismatches[tid];
+            }
+          }
+        }
+      }
+    });
   }
-  pool.configure(linalg::env_thread_width());
+  for (auto& t : threads) t.join();
+  for (std::size_t tid = 0; tid < kThreads; ++tid) {
+    EXPECT_EQ(mismatches[tid], 0u) << "thread " << tid;
+  }
 }
 
 // The fast-math tier is opt-in, exempt from the bitwise contract, and

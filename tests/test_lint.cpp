@@ -249,35 +249,29 @@ TEST(LintDetach, CleanJoin) {
 }
 
 // ---------------------------------------------------------------------------
-// thread-outside-pool
+// thread-in-numeric-code
 
-TEST(LintThreadPool, FlagsStdThreadInLinalgAndNn) {
+TEST(LintThreadInNumericCode, FlagsStdThreadInLinalgAndNn) {
   const std::string code = "std::thread t(work); t.join();";
   EXPECT_TRUE(has_rule(scan(code, "src/darl/linalg/matrix.cpp"),
-                       "thread-outside-pool"));
+                       "thread-in-numeric-code"));
   EXPECT_TRUE(has_rule(scan(code, "src/darl/nn/mlp.cpp"),
-                       "thread-outside-pool"));
+                       "thread-in-numeric-code"));
   // A member declaration is just as banned as a construction: the rule is
   // about who owns threads, not how they are spelled.
   EXPECT_TRUE(has_rule(scan("std::vector<std::thread> workers_;",
                             "src/darl/nn/mlp.hpp"),
-                       "thread-outside-pool"));
+                       "thread-in-numeric-code"));
+  // No file in those directories is exempt.
+  EXPECT_TRUE(has_rule(scan(code, "src/darl/linalg/thread_pool.cpp"),
+                       "thread-in-numeric-code"));
 }
 
-TEST(LintThreadPool, CleanPoolFilesOtherDirsAndPoolUse) {
-  const std::string code = "std::thread t(work); t.join();";
-  // The sanctioned pool pair may construct threads.
-  EXPECT_FALSE(has_rule(scan(code, "src/darl/linalg/thread_pool.cpp"),
-                        "thread-outside-pool"));
-  EXPECT_FALSE(has_rule(scan(code, "src/darl/linalg/thread_pool.hpp"),
-                        "thread-outside-pool"));
+TEST(LintThreadInNumericCode, CleanOutsideLinalgAndNn) {
   // Outside linalg/nn the rule does not apply (serve owns workers).
-  EXPECT_FALSE(has_rule(scan(code, "src/darl/serve/batch_scheduler.cpp"),
-                        "thread-outside-pool"));
-  // Going through the pool is the sanctioned route.
-  EXPECT_TRUE(scan("ThreadPool::instance().run(&gemm_chunk, &ctx);",
-                   "src/darl/linalg/matrix.cpp")
-                  .empty());
+  EXPECT_FALSE(has_rule(scan("std::thread t(work); t.join();",
+                             "src/darl/serve/batch_scheduler.cpp"),
+                        "thread-in-numeric-code"));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@
 #include "darl/linalg/matrix.hpp"
 #include "darl/nn/mlp.hpp"
 #include "darl/nn/optimizer.hpp"
-#include "darl/nn/quantize.hpp"
 
 namespace darl::nn {
 namespace {
@@ -233,101 +232,6 @@ TEST(BatchApi, SteadyStateReusesWorkspaces) {
   net.backward_batch(Matrix(8, 2, 1.0));
   const Matrix& y2 = net.forward_batch(x);
   EXPECT_EQ(p1, y2.row(0));
-}
-
-// ---------------------------------------------------------------------------
-// int8 quantized inference (darl/nn/quantize.hpp, the darl/serve path)
-
-// Rows reduce independently in exact int32 arithmetic, so the quantized
-// batched output must equal the same rows evaluated one at a time —
-// bitwise, the same contract the exact kernels honour.
-TEST(QuantizedEval, BatchedMatchesPerSampleBitwise) {
-  for (const Activation act : {Activation::Tanh, Activation::ReLU}) {
-    for (const auto& sizes : kShapes) {
-      Rng init(7);
-      Mlp net(sizes, act, init);
-      Mlp single = net;
-      const QuantizedNet qn =
-          quantize_mlp_params(sizes, act, net.get_flat_params());
-
-      Rng data(31);
-      const Matrix x = random_matrix(64, sizes.front(), data);
-      const Matrix& y = net.evaluate_batch_quantized(x, qn);
-      ASSERT_EQ(y.rows(), x.rows());
-      ASSERT_EQ(y.cols(), sizes.back());
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        Matrix row(1, sizes.front());
-        std::copy(x.row(r), x.row(r) + x.cols(), row.data().begin());
-        const Matrix& yr = single.evaluate_batch_quantized(row, qn);
-        expect_bitwise(matrix_row(y, r), matrix_row(yr, 0), "quantized row");
-      }
-    }
-  }
-}
-
-// The quantization-error gate: measured logit error against the exact
-// double path must stay within the per-layer analytic bound the auditor
-// derives (DESIGN.md §16). The bound is deterministic, so this is an
-// equality-grade gate, not a tolerance guess.
-TEST(QuantizedEval, LogitErrorWithinAuditedBound) {
-  for (const auto& sizes : kShapes) {
-    Rng init(19);
-    Mlp net(sizes, Activation::Tanh, init);
-    const Vec flat = net.get_flat_params();
-    const QuantizedNet qn = quantize_mlp_params(sizes, Activation::Tanh, flat);
-
-    Rng data(37);
-    const Matrix x = random_matrix(32, sizes.front(), data);
-    Mlp exact = net;
-    const Matrix y_exact = exact.evaluate_batch(x);
-    const Matrix& y_quant = net.evaluate_batch_quantized(x, qn);
-
-    double measured = 0.0;
-    for (std::size_t i = 0; i < y_exact.size(); ++i) {
-      measured = std::max(measured,
-                          std::abs(y_exact.data()[i] - y_quant.data()[i]));
-    }
-    const double bound = quantization_logit_error_bound(qn, flat, x);
-    EXPECT_LE(measured, bound) << "shape {" << sizes.front() << "...}";
-    EXPECT_GT(bound, 0.0);
-  }
-}
-
-// Quantization is a pure function of the flat parameters: two independent
-// derivations (PolicyStore::publish's snapshot and DirectPolicy's own)
-// must coincide exactly, or the serve self-check would compare different
-// nets.
-TEST(QuantizedEval, DerivationIsDeterministic) {
-  const std::vector<std::size_t> sizes = {5, 16, 16, 2};
-  Rng init(41);
-  Mlp net(sizes, Activation::Tanh, init);
-  const Vec flat = net.get_flat_params();
-  const QuantizedNet a = quantize_mlp_params(sizes, Activation::Tanh, flat);
-  const QuantizedNet b = quantize_mlp_params(sizes, Activation::Tanh, flat);
-  ASSERT_EQ(a.layers.size(), b.layers.size());
-  for (std::size_t l = 0; l < a.layers.size(); ++l) {
-    EXPECT_EQ(a.layers[l].qw, b.layers[l].qw);
-    EXPECT_EQ(a.layers[l].w_scale, b.layers[l].w_scale);
-    EXPECT_EQ(a.layers[l].qrow_sum, b.layers[l].qrow_sum);
-    EXPECT_EQ(a.layers[l].bias, b.layers[l].bias);
-  }
-}
-
-// Constant observation rows (zero dynamic range) are the degenerate case
-// of the per-row activation quantizer; they must still round-trip without
-// NaNs and keep the batched == per-sample contract.
-TEST(QuantizedEval, ConstantRowsAreWellDefined) {
-  const std::vector<std::size_t> sizes = {6, 8, 3};
-  Rng init(43);
-  Mlp net(sizes, Activation::Tanh, init);
-  const QuantizedNet qn =
-      quantize_mlp_params(sizes, Activation::Tanh, net.get_flat_params());
-  const Matrix x(4, 6, 0.25);  // every row constant
-  const Matrix& y = net.evaluate_batch_quantized(x, qn);
-  for (const double v : y.data()) EXPECT_TRUE(std::isfinite(v));
-  for (std::size_t r = 1; r < 4; ++r) {
-    expect_bitwise(matrix_row(y, r), matrix_row(y, 0), "constant row");
-  }
 }
 
 }  // namespace

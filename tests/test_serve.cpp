@@ -245,125 +245,6 @@ TEST(Serve, BitwiseMatchesDirectContinuousDecode) {
 }
 
 // ---------------------------------------------------------------------------
-// int8 quantized serving
-//
-// Quantized mode keeps the self-check shape: the reference is a quantized
-// DirectPolicy (batch-of-1 through the same int8 kernel), and served
-// actions must match it bitwise because rows reduce independently in
-// exact integer arithmetic. Exact-mode tenants must stay bitwise-equal to
-// the exact reference — the quantized fleet setting cannot leak into them.
-
-TEST(ServeQuantized, PublishDerivesQuantizedSnapshot) {
-  PolicyStore store;
-  store.publish(make_discrete_spec(71));
-  const PolicyVersion* version = store.current();
-  ASSERT_NE(version, nullptr);
-  ASSERT_NE(version->quantized, nullptr);
-  EXPECT_EQ(version->quantized->sizes, version->spec.sizes);
-  EXPECT_EQ(version->quantized->layers.size(), 2u);
-}
-
-TEST(ServeQuantized, SchedulerMatchesQuantizedDirectBitwise) {
-  PolicyStore store;
-  store.publish(make_discrete_spec(72));
-  ServeConfig config;
-  config.max_batch = 8;
-  config.max_delay_us = 200.0;
-  config.quantized = true;
-  BatchScheduler server(store, config);
-
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < 4; ++c) {
-    threads.emplace_back([&, c] {
-      DirectPolicy direct(store.current()->spec, /*quantized=*/true);
-      Rng rng(300 + c);
-      for (int r = 0; r < 40; ++r) {
-        const Vec obs = random_obs(rng);
-        const Response response = server.serve(obs);
-        ASSERT_EQ(response.outcome, Outcome::Ok);
-        if (!bitwise_equal(response.action, direct.act(obs))) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-}
-
-TEST(ServeQuantized, ContinuousDecodeMatchesQuantizedDirect) {
-  PolicyStore store;
-  store.publish(make_box_spec(73));
-  ServeConfig config;
-  config.max_batch = 4;
-  config.max_delay_us = 100.0;
-  config.quantized = true;
-  BatchScheduler server(store, config);
-
-  DirectPolicy direct(store.current()->spec, /*quantized=*/true);
-  Rng rng(9);
-  for (int r = 0; r < 50; ++r) {
-    const Vec obs = random_obs(rng);
-    const Response response = server.serve(obs);
-    ASSERT_EQ(response.outcome, Outcome::Ok);
-    EXPECT_TRUE(bitwise_equal(response.action, direct.act(obs)));
-  }
-}
-
-TEST(RouterQuantized, ExactTenantsKeepTheExactPath) {
-  PolicyStore store;
-  store.publish("quant", make_discrete_spec(74));
-  store.publish("exact", make_discrete_spec(75));
-  RouterConfig config;
-  config.shards = 2;
-  config.quantized = true;
-  config.exact_tenants = {"exact"};
-  Router router(store, config);
-
-  EXPECT_TRUE(router.tenant_quantized("quant"));
-  EXPECT_FALSE(router.tenant_quantized("exact"));
-  EXPECT_FALSE(router.tenant_quantized("no-such-tenant"));
-
-  DirectPolicy direct_quant(store.current("quant")->spec, /*quantized=*/true);
-  DirectPolicy direct_exact(store.current("exact")->spec, /*quantized=*/false);
-  Rng rng(11);
-  for (int r = 0; r < 60; ++r) {
-    const Vec obs = random_obs(rng);
-    const Response rq =
-        router.serve("quant", static_cast<std::uint64_t>(r), obs);
-    ASSERT_EQ(rq.outcome, Outcome::Ok);
-    EXPECT_TRUE(bitwise_equal(rq.action, direct_quant.act(obs)));
-    const Response re =
-        router.serve("exact", static_cast<std::uint64_t>(r), obs);
-    ASSERT_EQ(re.outcome, Outcome::Ok);
-    EXPECT_TRUE(bitwise_equal(re.action, direct_exact.act(obs)));
-  }
-  router.shutdown();
-}
-
-TEST(RouterQuantized, DefaultConfigLeavesEveryTenantExact) {
-  PolicyStore store;
-  store.publish("a", make_discrete_spec(76));
-  RouterConfig config;  // quantized defaults to false
-  Router router(store, config);
-  EXPECT_FALSE(router.tenant_quantized("a"));
-
-  // Exact mode must be byte-for-byte unaffected by the quantized code
-  // riding on the version: same actions as the exact direct path.
-  DirectPolicy direct(store.current("a")->spec);
-  Rng rng(13);
-  for (int r = 0; r < 30; ++r) {
-    const Vec obs = random_obs(rng);
-    const Response response =
-        router.serve("a", static_cast<std::uint64_t>(r), obs);
-    ASSERT_EQ(response.outcome, Outcome::Ok);
-    EXPECT_TRUE(bitwise_equal(response.action, direct.act(obs)));
-  }
-  router.shutdown();
-}
-
-// ---------------------------------------------------------------------------
 // Admission control
 
 TEST(Serve, RejectsWrongObservationDimension) {

@@ -31,45 +31,35 @@
 #   8. build-tsan/   ThreadSanitizer tree (DARL_SANITIZE=thread), which
 #                    gives the parallel fault-tolerance tests teeth: data
 #                    races in Study::run's threaded evaluate/retry/timeout
-#                    paths show up here, not in the plain build; the
-#                    GemmBitwise suite then reruns in the same tree with
-#                    DARL_LINALG_THREADS=4 so the pool's fixed
-#                    tile-ownership schedule is raced under TSan
-#   9. smoke bench    the gemm/nn/serve/obs micro benchmarks built and run
-#                    with a near-zero time budget (BENCH_SMOKE=1
-#                    tools/bench.sh) — keeps the benches and all five
-#                    JSON distillers (incl. the BENCH_9 kernel report)
-#                    working without paying for real timings
-#  10. telemetry smoke: darl_serve started with --obs-port 0, its
+#                    paths show up here, not in the plain build
+#   9. telemetry smoke: darl_serve started with --obs-port 0, its
 #                    /healthz and /metrics scraped live over /dev/tcp,
 #                    and the serve metric families asserted present
-#  11. fleet smoke:  darl_serve as a 2-shard x 2-tenant fleet under
+#  10. fleet smoke:  darl_serve as a 2-shard x 2-tenant fleet under
 #                    open-loop overload; the scraped labeled counters
 #                    must show low-priority shedding, both tenants
 #                    serving, per-shard queue gauges, and no shed
 #                    counter on the control lane
-#  12. distributed smoke: a darl_worker learner plus two independently
+#  11. distributed smoke: a darl_worker learner plus two independently
 #                    launched darl_worker actor processes train an RLlib
 #                    job over a Unix socket; the learner's /metrics must
 #                    expose the net_* transport families and a nonzero
 #                    net_staleness, both actors must exit 0, and the
 #                    learner must report the run complete
-#  13. determinism audit: the same seeded campaign run twice serially,
-#                    once with --parallel 4, and once with the gemm pool
-#                    at DARL_LINALG_THREADS=4 must produce byte-identical
+#  12. determinism audit: the same seeded campaign run twice serially and
+#                    once with --parallel 4 must produce byte-identical
 #                    trials CSVs — with the telemetry sampler + exporter
 #                    enabled (--obs-port 0), proving neither observability
-#                    nor the parallel gemm schedule ever perturbs
-#                    campaign results; a TPE campaign at --parallel 3
-#                    must rerun byte-identically (its tell schedule is
-#                    fixed per width); a second campaign whose random
-#                    draw includes RLlib nodes=2 trials then reruns with
-#                    --distributed, and the multi-process CSV must match
-#                    the in-process one byte for byte with nonzero
-#                    NetStaleness on the engaged trials; finally Table I
-#                    is retrained from scratch (--parallel 4) and must
-#                    reproduce the committed darl_table1_cache.csv byte
-#                    for byte
+#                    nor the trial lanes ever perturb campaign results; a
+#                    TPE campaign at --parallel 3 must rerun
+#                    byte-identically (its tell schedule is fixed per
+#                    width); a second campaign whose random draw includes
+#                    RLlib nodes=2 trials then reruns with --distributed,
+#                    and the multi-process CSV must match the in-process one
+#                    byte for byte with nonzero NetStaleness on the engaged
+#                    trials; finally Table I is retrained from scratch
+#                    (--parallel 4) and must reproduce the committed
+#                    darl_table1_cache.csv byte for byte
 #
 # A per-stage wall-clock summary prints at the end.
 #
@@ -144,20 +134,9 @@ ASAN_OPTIONS="detect_leaks=1" run_tree build-asan address,undefined "$@"
 
 stage "build-tsan/ (thread)"
 run_tree build-tsan thread "$@"
-# Re-race the gemm bitwise-equivalence suite with the pool actually wide:
-# the full ctest pass above runs at the default width (1), so this is the
-# run where TSan watches the fixed tile-ownership schedule's handoff.
-echo "--- [build-tsan] GemmBitwise at DARL_LINALG_THREADS=4 ---"
-DARL_LINALG_THREADS=4 ./build-tsan/tests/test_linalg \
-    --gtest_filter='GemmBitwise.*'
 
 AUDIT_DIR="$(mktemp -d)"
 trap 'rm -rf "$AUDIT_DIR"' EXIT
-
-stage "smoke bench (near-instant micro-kernel run)"
-BENCH_SMOKE=1 tools/bench.sh "$AUDIT_DIR/bench_smoke.json" \
-    "$AUDIT_DIR/bench_serve_smoke.json" "$AUDIT_DIR/bench_obs_smoke.json" \
-    "$AUDIT_DIR/bench_openloop_smoke.json" "$AUDIT_DIR/bench_kernel_smoke.json"
 
 stage "telemetry smoke (darl_serve --obs-port, live scrape)"
 OBS_LOG="$AUDIT_DIR/obs_serve.log"
@@ -344,7 +323,7 @@ kill "$DIST_PID" 2>/dev/null || true
 wait "$DIST_PID" 2>/dev/null || true
 echo "distributed smoke ok: port $dist_port, staleness $staleness, both actors served and exited 0"
 
-stage "determinism audit (serial x2, --parallel 4, gemm pool x4, telemetry on, Table I retrain)"
+stage "determinism audit (serial x2, --parallel 4, TPE, --distributed, telemetry on, Table I retrain)"
 audit_run() {
   local out="$1"
   shift
@@ -354,15 +333,10 @@ audit_run() {
 audit_run "$AUDIT_DIR/serial_a.csv"
 audit_run "$AUDIT_DIR/serial_b.csv"
 audit_run "$AUDIT_DIR/parallel.csv" --parallel 4
-# The gemm pool at width 4: every Matrix::gemm in the campaign now runs
-# the parallel fixed-tile schedule, and the CSVs must not move a byte.
-DARL_LINALG_THREADS=4 audit_run "$AUDIT_DIR/threads4.csv"
 cmp "$AUDIT_DIR/serial_a.csv" "$AUDIT_DIR/serial_b.csv" \
   || { echo "determinism audit FAILED: serial reruns differ"; exit 1; }
 cmp "$AUDIT_DIR/serial_a.csv" "$AUDIT_DIR/parallel.csv" \
   || { echo "determinism audit FAILED: parallel run differs from serial"; exit 1; }
-cmp "$AUDIT_DIR/serial_a.csv" "$AUDIT_DIR/threads4.csv" \
-  || { echo "determinism audit FAILED: DARL_LINALG_THREADS=4 run differs from serial"; exit 1; }
 # TPE reads its feedback, so its campaign depends on the width; at one
 # width the fixed tell schedule must still make reruns byte-identical
 # whatever order the lanes finish in.
@@ -390,7 +364,7 @@ grep 'framework=RLlib, nodes=[^1]' "$AUDIT_DIR/dist_mp.csv" \
 ./build/tools/darl_study --parallel 4 --cache "$AUDIT_DIR/table1.csv" > /dev/null
 cmp "$AUDIT_DIR/table1.csv" darl_table1_cache.csv \
   || { echo "determinism audit FAILED: retrained Table I differs from the committed darl_table1_cache.csv"; exit 1; }
-echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. gemm pool at 4 threads and the multi-process --distributed leg); retrained Table I matches darl_table1_cache.csv"
+echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. --parallel 4, TPE --parallel 3 and the multi-process --distributed leg); retrained Table I matches darl_table1_cache.csv"
 
 stage_end
 echo "=== stage timing ==="

@@ -40,16 +40,6 @@
 //                       requests per client, 0 = never (default 0). The
 //                       republished spec is identical, so the bitwise
 //                       self-check keeps working across swaps.
-//   --quantized         serve through the int8 quantized inference path
-//                       (per-layer scales derived at publish time). The
-//                       self-check compares against a *quantized*
-//                       DirectPolicy, so it still demands bitwise
-//                       equality — quantization is deterministic, only
-//                       lossy versus the exact double path.
-//   --exact-tenants L   comma-separated tenant names pinned to the exact
-//                       path even under --quantized (per-tenant
-//                       fallback; their self-check reference stays the
-//                       exact DirectPolicy)
 //   --seed N            rng seed for client traffic (default 42)
 //   --obs-out PATH      write the metrics-registry snapshot as JSONL
 //   --obs-port P        live telemetry: serve /metrics (Prometheus),
@@ -96,6 +86,7 @@
 #include "darl/serve/arrival.hpp"
 #include "darl/serve/policy_store.hpp"
 #include "darl/serve/router.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -124,8 +115,6 @@ struct CliOptions {
   std::size_t workers = 1;
   double deadline_us = 0.0;
   std::size_t swap_every = 0;
-  bool quantized = false;
-  std::vector<std::string> exact_tenants;
   std::uint64_t seed = 42;
   std::string obs_out;
   int obs_port = -1;        ///< -1 = no exporter; 0 = ephemeral port
@@ -163,10 +152,6 @@ struct CliOptions {
       "  --deadline-us X     per-request deadline, 0 = none (default 0)\n"
       "  --swap-every N      republish after every N requests per client\n"
       "                      (0 = never; same weights, new version id)\n"
-      "  --quantized         int8 quantized inference path; the bitwise\n"
-      "                      self-check runs against a quantized reference\n"
-      "  --exact-tenants L   comma-separated tenants kept on the exact\n"
-      "                      double path even under --quantized\n"
       "  --seed N            client traffic seed            (default 42)\n"
       "  --obs-out PATH      metrics snapshot as JSONL\n"
       "  --obs-port P        expose /metrics, /snapshot.json, /healthz on\n"
@@ -244,10 +229,7 @@ void run_client(serve::Router& router, const std::string& tenant,
                 const serve::PolicySpec& spec, const env::EnvFactory& factory,
                 const CliOptions& opt, std::size_t client_index,
                 std::uint64_t seed, ClientStats& stats) {
-  // The reference must match the tenant's serving mode: quantized tenants
-  // check against the int8 batch-of-1 path, exact tenants (including
-  // --exact-tenants fallbacks under --quantized) against Mlp::evaluate.
-  serve::DirectPolicy direct(spec, router.tenant_quantized(tenant));
+  serve::DirectPolicy direct(spec);
   auto env = factory();
   env->seed(seed);
   Vec obs = env->reset();
@@ -327,74 +309,44 @@ rl::Checkpoint obtain_checkpoint(const CliOptions& opt,
   return ck;
 }
 
-std::size_t parse_size(const char* v) {
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-}
-
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(2);
-    }
-    return argv[++i];
-  };
+  const cli::Flags flags(argc, argv, &usage);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (!std::strcmp(a, "--checkpoint")) opt.checkpoint = need_value(i);
-    else if (!std::strcmp(a, "--save")) opt.save = need_value(i);
+    if (!std::strcmp(a, "--checkpoint")) opt.checkpoint = flags.value(i);
+    else if (!std::strcmp(a, "--save")) opt.save = flags.value(i);
     else if (!std::strcmp(a, "--train-timesteps"))
-      opt.train_timesteps = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--clients")) opt.clients = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--requests")) opt.requests = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--shards")) opt.shards = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--tenants")) opt.tenants = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--quota")) opt.quota = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--priority")) opt.priority = need_value(i);
+      opt.train_timesteps = flags.count(i);
+    else if (!std::strcmp(a, "--clients")) opt.clients = flags.count(i);
+    else if (!std::strcmp(a, "--requests")) opt.requests = flags.count(i);
+    else if (!std::strcmp(a, "--shards")) opt.shards = flags.count(i);
+    else if (!std::strcmp(a, "--tenants")) opt.tenants = flags.count(i);
+    else if (!std::strcmp(a, "--quota")) opt.quota = flags.count(i);
+    else if (!std::strcmp(a, "--priority")) opt.priority = flags.value(i);
     else if (!std::strcmp(a, "--open-loop")) opt.open_loop = true;
-    else if (!std::strcmp(a, "--rate-per-s"))
-      opt.rate_per_s = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--arrival")) opt.arrival = need_value(i);
-    else if (!std::strcmp(a, "--shed-low"))
-      opt.shed_low = std::strtod(need_value(i), nullptr);
+    else if (!std::strcmp(a, "--rate-per-s")) opt.rate_per_s = flags.number(i);
+    else if (!std::strcmp(a, "--arrival")) opt.arrival = flags.value(i);
+    else if (!std::strcmp(a, "--shed-low")) opt.shed_low = flags.number(i);
     else if (!std::strcmp(a, "--shed-normal"))
-      opt.shed_normal = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--shed-high"))
-      opt.shed_high = std::strtod(need_value(i), nullptr);
+      opt.shed_normal = flags.number(i);
+    else if (!std::strcmp(a, "--shed-high")) opt.shed_high = flags.number(i);
     else if (!std::strcmp(a, "--no-gather")) opt.gather = false;
-    else if (!std::strcmp(a, "--max-batch")) opt.max_batch = parse_size(need_value(i));
+    else if (!std::strcmp(a, "--max-batch")) opt.max_batch = flags.count(i);
     else if (!std::strcmp(a, "--max-delay-us"))
-      opt.max_delay_us = std::strtod(need_value(i), nullptr);
+      opt.max_delay_us = flags.number(i);
     else if (!std::strcmp(a, "--queue-cap"))
-      opt.queue_capacity = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--workers")) opt.workers = parse_size(need_value(i));
+      opt.queue_capacity = flags.count(i);
+    else if (!std::strcmp(a, "--workers")) opt.workers = flags.count(i);
     else if (!std::strcmp(a, "--deadline-us"))
-      opt.deadline_us = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--swap-every"))
-      opt.swap_every = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--quantized")) opt.quantized = true;
-    else if (!std::strcmp(a, "--exact-tenants")) {
-      std::string list = need_value(i);
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        if (end > start) {
-          opt.exact_tenants.push_back(list.substr(start, end - start));
-        }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    }
-    else if (!std::strcmp(a, "--seed"))
-      opt.seed = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--obs-out")) opt.obs_out = need_value(i);
-    else if (!std::strcmp(a, "--obs-port"))
-      opt.obs_port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
+      opt.deadline_us = flags.number(i);
+    else if (!std::strcmp(a, "--swap-every")) opt.swap_every = flags.count(i);
+    else if (!std::strcmp(a, "--seed")) opt.seed = flags.count(i);
+    else if (!std::strcmp(a, "--obs-out")) opt.obs_out = flags.value(i);
+    else if (!std::strcmp(a, "--obs-port")) opt.obs_port = flags.port(i);
     else if (!std::strcmp(a, "--obs-linger-s"))
-      opt.obs_linger_s = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--flight-out")) opt.flight_out = need_value(i);
+      opt.obs_linger_s = flags.number(i);
+    else if (!std::strcmp(a, "--flight-out")) opt.flight_out = flags.value(i);
     else if (!std::strcmp(a, "--help")) usage(0);
     else {
       std::fprintf(stderr, "unknown option '%s'\n", a);
@@ -501,17 +453,7 @@ int main(int argc, char** argv) {
   router_cfg.shed_normal = opt.shed_normal;
   router_cfg.shed_high = opt.shed_high;
   router_cfg.default_quota = opt.quota;
-  router_cfg.quantized = opt.quantized;
-  router_cfg.exact_tenants = opt.exact_tenants;
   serve::Router router(store, router_cfg);
-  if (opt.quantized) {
-    std::size_t exact = 0;
-    for (const std::string& name : tenant_names) {
-      if (!router.tenant_quantized(name)) ++exact;
-    }
-    std::printf("quantized serving: int8 path on %zu/%zu tenant(s)\n",
-                tenant_names.size() - exact, tenant_names.size());
-  }
 
   std::vector<ClientStats> stats(opt.clients);
   std::vector<std::thread> clients;

@@ -54,6 +54,7 @@
 #include "darl/core/ranking.hpp"
 #include "darl/core/stability.hpp"
 #include "darl/core/tpe.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -121,26 +122,20 @@ struct CliOptions {
 
 CliOptions parse_args(int argc, char** argv) {
   CliOptions opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(2);
-    }
-    return argv[++i];
-  };
+  const cli::Flags flags(argc, argv, &usage);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) usage(0);
-    else if (!std::strcmp(a, "--explorer")) opt.explorer = need_value(i);
-    else if (!std::strcmp(a, "--trials")) opt.trials = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--timesteps")) opt.timesteps = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--seeds")) opt.seeds_per_trial = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--seed")) opt.seed = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--parallel")) opt.parallel_trials = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--trial-retries")) opt.trial_retries = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--trial-timeout")) opt.trial_timeout = std::strtod(need_value(i), nullptr);
+    else if (!std::strcmp(a, "--explorer")) opt.explorer = flags.value(i);
+    else if (!std::strcmp(a, "--trials")) opt.trials = flags.count(i);
+    else if (!std::strcmp(a, "--timesteps")) opt.timesteps = flags.count(i);
+    else if (!std::strcmp(a, "--seeds")) opt.seeds_per_trial = flags.count(i);
+    else if (!std::strcmp(a, "--seed")) opt.seed = flags.count(i);
+    else if (!std::strcmp(a, "--parallel")) opt.parallel_trials = flags.count(i);
+    else if (!std::strcmp(a, "--trial-retries")) opt.trial_retries = flags.count(i);
+    else if (!std::strcmp(a, "--trial-timeout")) opt.trial_timeout = flags.number(i);
     else if (!std::strcmp(a, "--on-trial-failure")) {
-      const std::string v = need_value(i);
+      const std::string v = flags.value(i);
       if (v == "abort") opt.on_trial_failure = core::FailurePolicy::Abort;
       else if (v == "skip") opt.on_trial_failure = core::FailurePolicy::Skip;
       else {
@@ -148,20 +143,19 @@ CliOptions parse_args(int argc, char** argv) {
         usage(2);
       }
     }
-    else if (!std::strcmp(a, "--cache")) opt.cache = need_value(i);
-    else if (!std::strcmp(a, "--csv")) opt.csv_out = need_value(i);
-    else if (!std::strcmp(a, "--report")) opt.report_out = need_value(i);
-    else if (!std::strcmp(a, "--trace-out")) opt.trace_out = need_value(i);
-    else if (!std::strcmp(a, "--obs-out")) opt.obs_out = need_value(i);
-    else if (!std::strcmp(a, "--obs-port"))
-      opt.obs_port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
-    else if (!std::strcmp(a, "--flight-out")) opt.flight_out = need_value(i);
+    else if (!std::strcmp(a, "--cache")) opt.cache = flags.value(i);
+    else if (!std::strcmp(a, "--csv")) opt.csv_out = flags.value(i);
+    else if (!std::strcmp(a, "--report")) opt.report_out = flags.value(i);
+    else if (!std::strcmp(a, "--trace-out")) opt.trace_out = flags.value(i);
+    else if (!std::strcmp(a, "--obs-out")) opt.obs_out = flags.value(i);
+    else if (!std::strcmp(a, "--obs-port")) opt.obs_port = flags.port(i);
+    else if (!std::strcmp(a, "--flight-out")) opt.flight_out = flags.value(i);
     else if (!std::strcmp(a, "--distributed")) opt.distributed = true;
-    else if (!std::strcmp(a, "--worker-bin")) opt.worker_bin = need_value(i);
+    else if (!std::strcmp(a, "--worker-bin")) opt.worker_bin = flags.value(i);
     else if (!std::strcmp(a, "--verbose")) opt.verbose = true;
     else if (!std::strcmp(a, "--stability")) opt.stability = true;
     else if (!std::strcmp(a, "--figure")) {
-      const std::string v = need_value(i);
+      const std::string v = flags.value(i);
       const auto comma = v.find(',');
       if (comma == std::string::npos) {
         std::fprintf(stderr, "--figure needs METRIC_X,METRIC_Y\n");

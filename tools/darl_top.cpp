@@ -16,6 +16,7 @@
 // normal "watched process finished" case), 1 when it never answered.
 
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 #include "darl/common/table.hpp"
 #include "darl/obs/export.hpp"
 #include "darl/obs/percentile.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -55,22 +57,13 @@ struct CliOptions {
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(2);
-    }
-    return argv[++i];
-  };
+  const cli::Flags flags(argc, argv, &usage);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (!std::strcmp(a, "--port"))
-      opt.port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
+    if (!std::strcmp(a, "--port")) opt.port = flags.port(i);
     else if (!std::strcmp(a, "--interval-ms"))
-      opt.interval_ms =
-          static_cast<int>(std::strtol(need_value(i), nullptr, 10));
-    else if (!std::strcmp(a, "--iterations"))
-      opt.iterations = std::strtoull(need_value(i), nullptr, 10);
+      opt.interval_ms = static_cast<int>(flags.count(i, INT_MAX));
+    else if (!std::strcmp(a, "--iterations")) opt.iterations = flags.count(i);
     else if (!std::strcmp(a, "--once")) opt.once = true;
     else if (!std::strcmp(a, "--help")) usage(0);
     else {

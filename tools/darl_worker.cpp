@@ -48,6 +48,7 @@
 #include "darl/frameworks/distributed.hpp"
 #include "darl/obs/export.hpp"
 #include "darl/obs/metrics.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -88,32 +89,25 @@ struct CliOptions {
 
 CliOptions parse_args(int argc, char** argv) {
   CliOptions opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(2);
-    }
-    return argv[++i];
-  };
+  const cli::Flags flags(argc, argv, &usage);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) usage(0);
-    else if (!std::strcmp(a, "--role")) opt.role = need_value(i);
-    else if (!std::strcmp(a, "--connect")) opt.connect = need_value(i);
-    else if (!std::strcmp(a, "--listen")) opt.listen = need_value(i);
-    else if (!std::strcmp(a, "--node")) opt.node = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--nodes")) opt.nodes = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--cores")) opt.cores = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--timesteps")) opt.timesteps = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--batch-total")) opt.batch_total = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--algo")) opt.algo = need_value(i);
-    else if (!std::strcmp(a, "--seed")) opt.seed = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--spawn-actors")) opt.spawn_actors = std::strtol(need_value(i), nullptr, 10) != 0;
-    else if (!std::strcmp(a, "--obs-port"))
-      opt.obs_port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
-    else if (!std::strcmp(a, "--obs-linger-s")) opt.obs_linger_s = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--connect-timeout")) opt.connect_timeout_s = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--io-timeout")) opt.io_timeout_s = std::strtod(need_value(i), nullptr);
+    else if (!std::strcmp(a, "--role")) opt.role = flags.value(i);
+    else if (!std::strcmp(a, "--connect")) opt.connect = flags.value(i);
+    else if (!std::strcmp(a, "--listen")) opt.listen = flags.value(i);
+    else if (!std::strcmp(a, "--node")) opt.node = flags.count(i);
+    else if (!std::strcmp(a, "--nodes")) opt.nodes = flags.count(i);
+    else if (!std::strcmp(a, "--cores")) opt.cores = flags.count(i);
+    else if (!std::strcmp(a, "--timesteps")) opt.timesteps = flags.count(i);
+    else if (!std::strcmp(a, "--batch-total")) opt.batch_total = flags.count(i);
+    else if (!std::strcmp(a, "--algo")) opt.algo = flags.value(i);
+    else if (!std::strcmp(a, "--seed")) opt.seed = flags.count(i);
+    else if (!std::strcmp(a, "--spawn-actors")) opt.spawn_actors = flags.count(i, 1) != 0;
+    else if (!std::strcmp(a, "--obs-port")) opt.obs_port = flags.port(i);
+    else if (!std::strcmp(a, "--obs-linger-s")) opt.obs_linger_s = flags.number(i);
+    else if (!std::strcmp(a, "--connect-timeout")) opt.connect_timeout_s = flags.number(i);
+    else if (!std::strcmp(a, "--io-timeout")) opt.io_timeout_s = flags.number(i);
     else if (!std::strcmp(a, "--verbose")) opt.verbose = true;
     else {
       std::fprintf(stderr, "unknown option '%s'\n", a);

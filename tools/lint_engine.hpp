@@ -22,12 +22,11 @@
 //   catch-all         catch (...) whose handler neither rethrows nor
 //                     records via std::current_exception
 //   detached-thread   std::thread::detach()
-//   thread-outside-pool  any std::thread use inside src/darl/linalg/ or
-//                     src/darl/nn/ except in linalg/thread_pool.{hpp,cpp}
-//                     — the numeric kernels must parallelize through the
-//                     one sanctioned linalg::ThreadPool (fixed tile
-//                     ownership keeps results bitwise-deterministic; an
-//                     ad-hoc thread has no such schedule)
+//   thread-in-numeric-code  any std::thread use inside src/darl/linalg/
+//                     or src/darl/nn/ — the numeric kernels run on their
+//                     caller's thread, so every result is one fixed
+//                     sequence of operations; concurrency belongs to the
+//                     callers (trial lanes, serve workers, actors)
 //   heap-alloc-in-kernel  new / .resize( / .push_back( inside the body of
 //                     a definition marked DARL_KERNEL (darl/common/
 //                     kernel.hpp) — the batched nn/linalg loops, the gemm
@@ -284,11 +283,10 @@ inline bool double_precision_path(const std::string& path) {
          contains(path, "/rl/") || contains(path, "/nn/");
 }
 
-/// Scope of the thread-outside-pool rule: the deterministic numeric
-/// libraries, minus the one file pair that *is* the sanctioned pool.
+/// Scope of the thread-in-numeric-code rule: the deterministic numeric
+/// libraries.
 inline bool thread_restricted_path(const std::string& path) {
-  if (!contains(path, "/linalg/") && !contains(path, "/nn/")) return false;
-  return !contains(path, "linalg/thread_pool.");
+  return contains(path, "/linalg/") || contains(path, "/nn/");
 }
 
 /// Scope of the naked-socket-call rule: everywhere except darl/net, the
@@ -435,10 +433,10 @@ inline std::vector<Finding> scan_source(const std::string& path_in,
           "detached thread outside the sanctioned study watchdog site");
     }
     if (check_thread && std::regex_search(line, std_thread_re)) {
-      add("thread-outside-pool", line_no,
-          "std::thread in linalg/nn outside linalg::ThreadPool; numeric "
-          "kernels must parallelize through the pool's fixed tile-ownership "
-          "schedule (linalg/thread_pool.hpp) to stay bitwise-deterministic");
+      add("thread-in-numeric-code", line_no,
+          "std::thread in linalg/nn; the numeric kernels run on their "
+          "caller's thread so each result is one fixed sequence of "
+          "operations — parallelize in the caller");
     }
     if (check_socket && std::regex_search(line, naked_socket_re)) {
       add("naked-socket-call", line_no,
