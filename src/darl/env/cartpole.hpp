@@ -34,7 +34,7 @@ class CartPoleEnv final : public EnvBase {
   double pending_cost_ = 0.0;
 };
 
-/// Factory for use with SyncVecEnv / backends.
+/// Factory for use with backends and rollout workers.
 EnvFactory make_cartpole_factory(std::size_t time_limit = 500);
 
 }  // namespace darl::env

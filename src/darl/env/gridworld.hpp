@@ -60,7 +60,7 @@ class GridWorldEnv final : public EnvBase {
   double pending_cost_ = 0.0;
 };
 
-/// Factory for use with SyncVecEnv / backends.
+/// Factory for use with backends and rollout workers.
 EnvFactory make_gridworld_factory(GridWorldLayout layout =
                                       GridWorldLayout::small_maze(),
                                   std::size_t time_limit = 100);

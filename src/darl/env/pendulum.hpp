@@ -37,7 +37,7 @@ class PendulumEnv final : public EnvBase {
   double pending_cost_ = 0.0;
 };
 
-/// Factory for use with SyncVecEnv / backends.
+/// Factory for use with backends and rollout workers.
 EnvFactory make_pendulum_factory(std::size_t time_limit = 200);
 
 }  // namespace darl::env

@@ -1,7 +1,6 @@
 #include "darl/env/wrappers.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "darl/common/error.hpp"
 
@@ -66,46 +65,6 @@ double EpisodeMonitor::mean_recent_score(std::size_t n) const {
   for (std::size_t i = episodes_.size() - take; i < episodes_.size(); ++i)
     s += episodes_[i].score;
   return s / static_cast<double>(take);
-}
-
-RewardScale::RewardScale(std::unique_ptr<Env> inner, double factor)
-    : EnvWrapper(std::move(inner)), factor_(factor) {
-  DARL_CHECK(std::isfinite(factor), "non-finite reward scale");
-}
-
-StepResult RewardScale::step(const Vec& action) {
-  StepResult r = EnvWrapper::step(action);
-  r.reward *= factor_;
-  return r;
-}
-
-ObservationNormalizer::ObservationNormalizer(std::unique_ptr<Env> inner,
-                                             double clip)
-    : EnvWrapper(std::move(inner)), clip_(clip) {
-  DARL_CHECK(clip > 0.0, "normalizer clip must be positive");
-  const std::size_t d = EnvWrapper::observation_space().dim();
-  dims_.resize(d);
-  norm_space_ = BoxSpace(d, -clip, clip);
-}
-
-Vec ObservationNormalizer::normalize(const Vec& raw) {
-  DARL_CHECK(raw.size() == dims_.size(), "observation size changed");
-  Vec out(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    dims_[i].push(raw[i]);
-    const double sd = dims_[i].stddev();
-    const double denom = sd > 1e-8 ? sd : 1.0;
-    out[i] = std::clamp((raw[i] - dims_[i].mean()) / denom, -clip_, clip_);
-  }
-  return out;
-}
-
-Vec ObservationNormalizer::reset() { return normalize(EnvWrapper::reset()); }
-
-StepResult ObservationNormalizer::step(const Vec& action) {
-  StepResult r = EnvWrapper::step(action);
-  r.observation = normalize(r.observation);
-  return r;
 }
 
 }  // namespace darl::env

@@ -1,14 +1,13 @@
 // darl/env/wrappers.hpp
 //
-// Composable environment wrappers (gym idiom): time limits, episode
-// statistics recording, observation normalization and reward scaling.
+// Composable environment wrappers (gym idiom): time limits and episode
+// statistics recording.
 
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "darl/common/stats.hpp"
 #include "darl/env/env.hpp"
 
 namespace darl::env {
@@ -88,38 +87,6 @@ class EpisodeMonitor final : public EnvWrapper {
   std::vector<EpisodeRecord> episodes_;
   double current_reward_ = 0.0;
   std::size_t current_length_ = 0;
-};
-
-/// Multiplies rewards by a constant factor (reward shaping knob).
-class RewardScale final : public EnvWrapper {
- public:
-  RewardScale(std::unique_ptr<Env> inner, double factor);
-
-  StepResult step(const Vec& action) override;
-
- private:
-  double factor_;
-};
-
-/// Normalizes observations with running mean/variance (per dimension),
-/// clipping the result into [-clip, clip]. Statistics update on every
-/// observation seen, matching common VecNormalize behaviour.
-class ObservationNormalizer final : public EnvWrapper {
- public:
-  ObservationNormalizer(std::unique_ptr<Env> inner, double clip = 10.0);
-
-  Vec reset() override;
-  StepResult step(const Vec& action) override;
-
-  /// The normalized observation space is an unbounded-ish clip box.
-  const BoxSpace& observation_space() const override { return norm_space_; }
-
- private:
-  Vec normalize(const Vec& raw);
-
-  double clip_;
-  std::vector<RunningStats> dims_;
-  BoxSpace norm_space_;
 };
 
 }  // namespace darl::env

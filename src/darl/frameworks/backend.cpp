@@ -59,9 +59,10 @@ Schedule make_schedule(FrameworkKind kind, const TrainRequest& request) {
   s.nodes = dep.nodes;
   s.cores = dep.cores_per_node;
   if (kind == FrameworkKind::StableBaselines) {
-    // One vectorized environment per core (§V-d of the paper), consumed
-    // after every `steps_per_env` lockstep sweeps: the total batch — and
-    // with it the update frequency per sample — scales with the core count.
+    // One vectorized environment per core (§V-d of the paper), run as one
+    // worker per core and consumed after `steps_per_env` steps each: the
+    // total batch — and with it the update frequency per sample — scales
+    // with the core count.
     s.per_worker = std::max<std::size_t>(1, request.steps_per_env);
     s.driver_inference = true;
   } else {

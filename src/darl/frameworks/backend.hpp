@@ -102,10 +102,11 @@ class RllibBackend final : public BackendBase {
   FrameworkKind kind() const override { return FrameworkKind::RayRllib; }
 };
 
-/// Stable-Baselines-style single-node vectorized training: one vectorized
-/// environment per CPU core stepped in lockstep, batched inference on the
-/// driver, learner update every `steps_per_env` steps — so the total batch
-/// (and hence the update frequency per sample) scales with the core count.
+/// Stable-Baselines-style single-node vectorized training: the vectorized
+/// environment per CPU core runs as one rollout worker per core, inference
+/// is charged batched on the driver, and the learner updates every
+/// `steps_per_env` steps per worker — so the total batch (and hence the
+/// update frequency per sample) scales with the core count.
 class StableBaselinesBackend final : public BackendBase {
  public:
   explicit StableBaselinesBackend(

@@ -16,24 +16,10 @@ RolloutWorker::RolloutWorker(std::size_t id, std::unique_ptr<env::Env> env,
   env_ = std::make_unique<env::EpisodeMonitor>(std::move(env));
 }
 
-RolloutWorker::RolloutWorker(std::size_t id, const env::EnvFactory& factory,
-                             std::size_t n_envs,
-                             std::unique_ptr<rl::RolloutActor> actor,
-                             std::uint64_t seed)
-    : id_(id), actor_(std::move(actor)), rng_(seed) {
-  DARL_CHECK(actor_ != nullptr, "worker got a null actor");
-  DARL_CHECK(n_envs > 0, "vectorized worker needs at least one env");
-  // Same seed derivation as the scalar flavour; SyncVecEnv splits it per
-  // sub-env.
-  vec_ = std::make_unique<env::SyncVecEnv>(factory, n_envs,
-                                           Rng(seed).split(0xE57).seed());
-}
-
 void RolloutWorker::sync(const Vec& params) { actor_->set_params(params); }
 
 rl::WorkerBatch RolloutWorker::collect(std::size_t n_steps) {
   DARL_SPAN_V("worker.collect", "worker", id_);
-  if (vec_) return collect_vec(n_steps);
   rl::WorkerBatch batch;
   batch.worker_id = id_;
   batch.transitions.reserve(n_steps);
@@ -74,86 +60,10 @@ rl::WorkerBatch RolloutWorker::collect(std::size_t n_steps) {
   return batch;
 }
 
-rl::WorkerBatch RolloutWorker::collect_vec(std::size_t n_steps) {
-  const std::size_t n = vec_->n_envs();
-  DARL_CHECK(n_steps % n == 0, "collect: " << n_steps
-                                           << " steps not divisible by " << n
-                                           << " sub-envs");
-  rl::WorkerBatch batch;
-  batch.worker_id = id_;
-  batch.transitions.reserve(n_steps);
-  const std::size_t rounds = n_steps / n;
-
-  if (!started_) {
-    vec_obs_ = vec_->reset();
-    started_ = true;
-  }
-  acts_.resize(n);
-  actions_.resize(n);
-  env_buf_.resize(n);
-  for (auto& buf : env_buf_) {
-    buf.clear();
-    buf.reserve(rounds);
-  }
-
-  for (std::size_t t = 0; t < rounds; ++t) {
-    // One batched policy evaluation across all sub-envs; rng draws happen
-    // per sub-env in slot order inside act_batch.
-    actor_->act_batch(vec_obs_, rng_, acts_);
-    cost_.inferences += n;
-    for (std::size_t e = 0; e < n; ++e) actions_[e] = acts_[e].action;
-    env::VecStepResult r = vec_->step(actions_);
-    cost_.steps += n;
-
-    for (std::size_t e = 0; e < n; ++e) {
-      rl::Transition tr;
-      tr.obs = std::move(vec_obs_[e]);
-      tr.action = std::move(actions_[e]);
-      tr.reward = r.reward[e];
-      const bool ended = r.terminated[e] || r.truncated[e];
-      // On auto-reset, observation[e] is already the next episode's first
-      // observation; the transition must record the terminal one.
-      tr.next_obs = ended ? std::move(r.final_observation[e])
-                          : r.observation[e];
-      tr.terminated = r.terminated[e];
-      tr.truncated = r.truncated[e];
-      tr.log_prob = acts_[e].log_prob;
-      env_buf_[e].push_back(std::move(tr));
-    }
-    vec_obs_ = std::move(r.observation);
-  }
-
-  // Concatenate per-env segments so each sub-env's transitions stay
-  // temporally contiguous (GAE / v-trace treat a WorkerBatch as one
-  // stream). A segment cut mid-episode is marked truncated so consumers
-  // bootstrap from next_obs instead of chaining into the next segment.
-  for (std::size_t e = 0; e < n; ++e) {
-    if (!env_buf_[e].empty() && !env_buf_[e].back().done()) {
-      env_buf_[e].back().truncated = true;
-    }
-    for (auto& tr : env_buf_[e]) batch.transitions.push_back(std::move(tr));
-  }
-
-  const double env_cost = vec_->take_compute_cost();
-  cost_.env_cost_units += env_cost;
-  DARL_COUNTER_ADD("worker.steps", n_steps);
-  DARL_COUNTER_ADD("worker.inferences", n_steps);
-  DARL_GAUGE_ADD("worker.env_cost_units", env_cost);
-  return batch;
-}
-
 CollectCost RolloutWorker::take_cost() {
   CollectCost c = cost_;
   cost_ = CollectCost{};
   return c;
-}
-
-const std::vector<env::EpisodeRecord>& RolloutWorker::episodes() const {
-  if (vec_) {
-    episodes_cache_ = vec_->all_episodes();
-    return episodes_cache_;
-  }
-  return env_->episodes();
 }
 
 WorkerGroup::WorkerGroup(const env::EnvFactory& factory,

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "darl/common/rng.hpp"
-#include "darl/env/vec_env.hpp"
 #include "darl/env/wrappers.hpp"
 #include "darl/net/wire.hpp"
 #include "darl/rl/algorithm.hpp"
@@ -39,52 +38,32 @@ class RolloutWorker {
   RolloutWorker(std::size_t id, std::unique_ptr<env::Env> env,
                 std::unique_ptr<rl::RolloutActor> actor, std::uint64_t seed);
 
-  /// Vectorized worker: `n_envs` sub-environments stepped in lockstep, with
-  /// policy evaluation batched across them via RolloutActor::act_batch.
-  /// collect() then requires n_steps to be a multiple of n_envs.
-  RolloutWorker(std::size_t id, const env::EnvFactory& factory,
-                std::size_t n_envs, std::unique_ptr<rl::RolloutActor> actor,
-                std::uint64_t seed);
-
   /// Refresh the worker's policy snapshot.
   void sync(const Vec& params);
 
   /// Collect exactly `n_steps` transitions (crossing episode boundaries
-  /// with auto-reset). Returns the batch; costs accumulate into cost().
-  /// A vectorized worker returns the transitions grouped per sub-env so
-  /// each sub-sequence stays temporally contiguous, with a segment that
-  /// ends mid-episode marked truncated (consumers bootstrap from next_obs).
+  /// with auto-reset). Returns the batch; costs accumulate until
+  /// take_cost().
   rl::WorkerBatch collect(std::size_t n_steps);
-
-  /// Number of sub-environments (1 for a scalar worker).
-  std::size_t n_envs() const { return vec_ ? vec_->n_envs() : 1; }
 
   /// Drain the accumulated collection cost counters.
   CollectCost take_cost();
 
   /// Episode records observed so far (score = paper Reward metric).
-  const std::vector<env::EpisodeRecord>& episodes() const;
+  const std::vector<env::EpisodeRecord>& episodes() const {
+    return env_->episodes();
+  }
 
   std::size_t id() const { return id_; }
 
  private:
-  rl::WorkerBatch collect_vec(std::size_t n_steps);
-
   std::size_t id_;
-  std::unique_ptr<env::EpisodeMonitor> env_;   // scalar flavour
-  std::unique_ptr<env::SyncVecEnv> vec_;       // vectorized flavour
+  std::unique_ptr<env::EpisodeMonitor> env_;
   std::unique_ptr<rl::RolloutActor> actor_;
   Rng rng_;
   Vec obs_;
   bool started_ = false;
   CollectCost cost_;
-
-  // Vectorized-collect staging (reused across collect calls).
-  std::vector<Vec> vec_obs_;
-  std::vector<rl::ActOutput> acts_;
-  std::vector<Vec> actions_;
-  std::vector<std::vector<rl::Transition>> env_buf_;
-  mutable std::vector<env::EpisodeRecord> episodes_cache_;
 };
 
 /// The rollout workers one process hosts: `count` workers with consecutive

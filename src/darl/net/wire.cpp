@@ -1,5 +1,6 @@
 #include "darl/net/wire.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "darl/obs/metrics.hpp"
@@ -21,9 +22,33 @@ void put_vec(std::ostream& os, const Vec& v) {
   os << '\n';
 }
 
-Vec get_vec(std::istream& is, const char* what) {
-  std::size_t n = 0;
-  if (!(is >> n)) throw WireError(std::string("net: bad ") + what + " length");
+template <typename T>
+T get_value(std::istream& is, const char* what) {
+  T v{};
+  if (!(is >> v)) throw WireError(std::string("net: bad ") + what + " field");
+  return v;
+}
+
+/// Reads an element count and rejects one that the rest of the payload
+/// cannot hold: every element takes at least `min_bytes` bytes (one
+/// separator and one character per field), so a larger count is a lie.
+/// Checking before a buffer is sized from the count bounds what a decoder
+/// allocates by a small multiple of the payload, whatever a peer claims.
+std::size_t get_count(std::istringstream& is, const char* what,
+                      std::size_t min_bytes) {
+  const auto n = get_value<std::size_t>(is, what);
+  const auto left = static_cast<std::size_t>(
+      std::max<std::streamsize>(is.rdbuf()->in_avail(), 0));
+  if (n > left / min_bytes) {
+    throw WireError(std::string("net: ") + what + " " + std::to_string(n) +
+                    " exceeds the " + std::to_string(left) +
+                    " bytes left in the payload");
+  }
+  return n;
+}
+
+Vec get_vec(std::istringstream& is, const char* what) {
+  const std::size_t n = get_count(is, what, 2);
   Vec v(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!(is >> v[i])) {
@@ -39,13 +64,6 @@ void expect_tag(std::istream& is, const char* tag, const char* msg) {
     throw WireError(std::string("net: malformed ") + msg + " payload (want '" +
                     tag + "', got '" + got + "')");
   }
-}
-
-template <typename T>
-T get_value(std::istream& is, const char* what) {
-  T v{};
-  if (!(is >> v)) throw WireError(std::string("net: bad ") + what + " field");
-  return v;
 }
 
 const char* algo_tag(rl::AlgoKind kind) {
@@ -119,7 +137,7 @@ JobMsg decode_job(const std::string& payload) {
   JobMsg msg;
   msg.algo = algo_from_tag(get_value<std::string>(is, "Job algo"));
   expect_tag(is, "hidden", "Job");
-  const auto n_hidden = get_value<std::size_t>(is, "Job hidden count");
+  const auto n_hidden = get_count(is, "Job hidden count", 2);
   msg.hidden.resize(n_hidden);
   for (std::size_t i = 0; i < n_hidden; ++i) {
     msg.hidden[i] = get_value<std::size_t>(is, "Job hidden size");
@@ -135,7 +153,7 @@ JobMsg decode_job(const std::string& payload) {
   msg.obs_dim = get_value<std::uint64_t>(is, "Job obs_dim");
   msg.action_dim = get_value<std::uint64_t>(is, "Job action_dim");
   expect_tag(is, "env", "Job");
-  const auto env_bytes = get_value<std::size_t>(is, "Job env length");
+  const auto env_bytes = get_count(is, "Job env length", 1);
   is.get();  // the '\n' terminating the env length line
   std::string spec(env_bytes, '\0');
   is.read(spec.data(), static_cast<std::streamsize>(env_bytes));
@@ -158,7 +176,7 @@ WeightsMsg decode_weights(const std::string& payload) {
   expect_tag(is, "weights", "Weights");
   WeightsMsg msg;
   msg.version = get_value<std::uint64_t>(is, "Weights version");
-  const auto bytes = get_value<std::size_t>(is, "Weights length");
+  const auto bytes = get_count(is, "Weights length", 1);
   is.get();
   std::string text(bytes, '\0');
   is.read(text.data(), static_cast<std::streamsize>(bytes));
@@ -200,7 +218,7 @@ BatchMsg decode_batch_msg(const std::string& payload) {
   msg.inferences = get_value<std::uint64_t>(is, "Batch inferences");
   msg.steps = get_value<std::uint64_t>(is, "Batch steps");
   expect_tag(is, "episodes", "Batch");
-  const auto n_eps = get_value<std::size_t>(is, "Batch episode count");
+  const auto n_eps = get_count(is, "Batch episode count", 6);
   msg.episodes.resize(n_eps);
   for (env::EpisodeRecord& ep : msg.episodes) {
     ep.total_reward = get_value<double>(is, "Batch episode reward");
@@ -208,7 +226,7 @@ BatchMsg decode_batch_msg(const std::string& payload) {
     ep.length = get_value<std::size_t>(is, "Batch episode length");
   }
   expect_tag(is, "transitions", "Batch");
-  const auto n_tr = get_value<std::size_t>(is, "Batch transition count");
+  const auto n_tr = get_count(is, "Batch transition count", 14);
   msg.transitions.resize(n_tr);
   for (rl::Transition& t : msg.transitions) {
     t.reward = get_value<double>(is, "Batch reward");

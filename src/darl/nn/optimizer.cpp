@@ -1,14 +1,18 @@
 #include "darl/nn/optimizer.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "darl/common/error.hpp"
 
 namespace darl::nn {
 
-Optimizer::Optimizer(std::vector<ParamRef> params, double lr)
-    : params_(std::move(params)), lr_(lr) {
+Adam::Adam(std::vector<ParamRef> params, double lr, double beta1, double beta2,
+           double eps)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps) {
   DARL_CHECK(!params_.empty(), "optimizer with no parameters");
   DARL_CHECK(lr > 0.0, "learning rate must be positive");
   for (const auto& p : params_) {
@@ -16,20 +20,6 @@ Optimizer::Optimizer(std::vector<ParamRef> params, double lr)
     DARL_CHECK(p.value->size() == p.grad->size(),
                "param/grad size mismatch for '" << p.name << "'");
   }
-}
-
-void Optimizer::zero_grad() {
-  for (auto& p : params_) std::fill(p.grad->begin(), p.grad->end(), 0.0);
-}
-
-void Optimizer::set_learning_rate(double lr) {
-  DARL_CHECK(lr > 0.0, "learning rate must be positive");
-  lr_ = lr;
-}
-
-Adam::Adam(std::vector<ParamRef> params, double lr, double beta1, double beta2,
-           double eps)
-    : Optimizer(std::move(params), lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   DARL_CHECK(beta1 >= 0.0 && beta1 < 1.0, "beta1 out of [0,1)");
   DARL_CHECK(beta2 >= 0.0 && beta2 < 1.0, "beta2 out of [0,1)");
   DARL_CHECK(eps > 0.0, "eps must be positive");
@@ -56,25 +46,6 @@ void Adam::step() {
       const double mhat = m[j] / bc1;
       const double vhat = v[j] / bc2;
       w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
-}
-
-Sgd::Sgd(std::vector<ParamRef> params, double lr, double momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  DARL_CHECK(momentum >= 0.0 && momentum < 1.0, "momentum out of [0,1)");
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) velocity_.emplace_back(p.value->size(), 0.0);
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Vec& w = *params_[i].value;
-    const Vec& g = *params_[i].grad;
-    Vec& vel = velocity_[i];
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      vel[j] = momentum_ * vel[j] + g[j];
-      w[j] -= lr_ * vel[j];
     }
   }
 }

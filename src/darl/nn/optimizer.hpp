@@ -1,8 +1,8 @@
 // darl/nn/optimizer.hpp
 //
-// First-order optimizers over ParamRef lists (Adam and SGD), plus global
-// gradient-norm clipping. Optimizers hold per-buffer moment state keyed by
-// position, so the ParamRef list must be stable across step() calls.
+// Adam over a ParamRef list, plus global gradient-norm clipping. Adam
+// holds per-buffer moment state keyed by position, so the ParamRef list
+// must be stable across step() calls.
 
 #pragma once
 
@@ -12,54 +12,24 @@
 
 namespace darl::nn {
 
-/// Interface for optimizers stepping a fixed list of parameter buffers.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Apply one update using the gradients currently stored in the refs.
-  virtual void step() = 0;
-
-  /// Zero all gradient buffers.
-  void zero_grad();
-
-  /// Current learning rate.
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr);
-
- protected:
-  Optimizer(std::vector<ParamRef> params, double lr);
-
-  std::vector<ParamRef> params_;
-  double lr_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction, stepping a fixed list of
+/// parameter buffers.
+class Adam final {
  public:
   Adam(std::vector<ParamRef> params, double lr, double beta1 = 0.9,
        double beta2 = 0.999, double eps = 1e-8);
 
-  void step() override;
+  /// Apply one update using the gradients currently stored in the refs.
+  void step();
 
   std::size_t steps_taken() const { return t_; }
 
  private:
+  std::vector<ParamRef> params_;
+  double lr_;
   double beta1_, beta2_, eps_;
   std::size_t t_ = 0;
   std::vector<Vec> m_, v_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<ParamRef> params, double lr, double momentum = 0.0);
-
-  void step() override;
-
- private:
-  double momentum_;
-  std::vector<Vec> velocity_;
 };
 
 /// Scale gradients so their global L2 norm is at most `max_norm`.

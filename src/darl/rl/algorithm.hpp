@@ -12,8 +12,6 @@
 
 #include <memory>
 
-#include "darl/common/error.hpp"
-#include "darl/common/kernel.hpp"
 #include "darl/env/space.hpp"
 #include "darl/rl/types.hpp"
 
@@ -32,20 +30,6 @@ class RolloutActor {
 
   /// Sample an action (env encoding) and its log-probability.
   virtual ActOutput act(const Vec& obs, Rng& rng) = 0;
-
-  /// Batched act() over one observation per entry. Consumes rng draws in
-  /// ascending index order, so the results (and the rng stream afterwards)
-  /// are identical to calling act() sequentially. `out` must be pre-sized
-  /// to obs.size(); implementations write into it without allocating. The
-  /// default loops act(); batched policies override it to amortize the
-  /// network evaluation over the whole batch.
-  DARL_KERNEL virtual void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                                     std::vector<ActOutput>& out) {
-    DARL_CHECK(out.size() == obs.size(),
-               "act_batch: out has " << out.size() << " slots for "
-                                     << obs.size() << " observations");
-    for (std::size_t i = 0; i < obs.size(); ++i) out[i] = act(obs[i], rng);
-  }
 
   /// Deterministic (greedy/mode) action for evaluation.
   virtual Vec act_greedy(const Vec& obs) = 0;

@@ -69,12 +69,15 @@ Checkpoint load_v1_body(std::istream& in) {
   ck.kind = parse_algo(algo);
   ck.obs_dim = obs_dim;
   ck.action_dim = action_dim;
-  ck.params.resize(count);
+  // The claimed count sizes nothing: params grow as values parse, so a
+  // stream that claims more than it holds costs only what it holds.
   for (std::size_t i = 0; i < count; ++i) {
-    if (!(in >> ck.params[i])) {
+    double v = 0.0;
+    if (!(in >> v)) {
       throw CheckpointError("checkpoint truncated at parameter " +
                             std::to_string(i) + " of " + std::to_string(count));
     }
+    ck.params.push_back(v);
   }
   return ck;
 }
@@ -89,7 +92,7 @@ Checkpoint load_v2_body(std::istream& in) {
   std::string payload = line + '\n';
   Checkpoint ck;
   const std::size_t count = parse_metadata(line, ck);
-  ck.params.resize(count);
+  // As in v1, params grow as values parse instead of from the count.
   for (std::size_t i = 0; i < count; ++i) {
     if (!std::getline(in, line)) {
       throw CheckpointError("checkpoint truncated at parameter " +
@@ -98,10 +101,12 @@ Checkpoint load_v2_body(std::istream& in) {
     payload += line;
     payload += '\n';
     std::istringstream value(line);
-    if (!(value >> ck.params[i])) {
+    double v = 0.0;
+    if (!(value >> v)) {
       throw CheckpointError("unparsable checkpoint parameter " +
                             std::to_string(i) + ": '" + line + "'");
     }
+    ck.params.push_back(v);
   }
   if (!std::getline(in, line)) {
     throw CheckpointError("checkpoint truncated before integrity footer");

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
-#include "darl/common/kernel.hpp"
 #include "darl/nn/distributions.hpp"
+#include "darl/rl/ppo.hpp"
 
 namespace darl::rl {
 namespace {
@@ -19,81 +19,6 @@ std::vector<std::size_t> net_sizes(std::size_t in,
   sizes.push_back(out);
   return sizes;
 }
-
-/// Inference-only IMPALA policy (identical mechanics to the PPO actor).
-class ImpalaActor final : public RolloutActor {
- public:
-  ImpalaActor(const nn::Mlp& net, Vec log_std, env::ActionSpace space)
-      : net_(net), log_std_(std::move(log_std)), space_(std::move(space)) {}
-
-  void set_params(const Vec& flat) override {
-    const std::size_t n = net_.param_count();
-    DARL_CHECK(flat.size() == n + log_std_.size(),
-               "IMPALA actor snapshot has " << flat.size() << " values");
-    Vec net_part(flat.begin(), flat.begin() + static_cast<std::ptrdiff_t>(n));
-    net_.set_flat_params(net_part);
-    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(n), flat.end(),
-              log_std_.begin());
-  }
-
-  ActOutput act(const Vec& obs, Rng& rng) override {
-    const Vec head = net_.evaluate(obs);
-    return sample_from_head(head, rng);
-  }
-
-  DARL_KERNEL void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                             std::vector<ActOutput>& out) override {
-    DARL_CHECK(out.size() == obs.size(),
-               "act_batch: out has " << out.size() << " slots for "
-                                     << obs.size() << " observations");
-    if (obs.empty()) return;
-    obs_mat_.reshape(obs.size(), net_.input_dim());
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      std::copy(obs[i].begin(), obs[i].end(), obs_mat_.row(i));
-    }
-    const Matrix& heads = net_.evaluate_batch(obs_mat_);
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      head_scratch_.assign(heads.row(i), heads.row(i) + net_.output_dim());
-      out[i] = sample_from_head(head_scratch_, rng);
-    }
-  }
-
-  Vec act_greedy(const Vec& obs) override {
-    const Vec head = net_.evaluate(obs);
-    if (space_.is_discrete()) {
-      const Vec p = nn::Categorical::softmax(head);
-      return space_.discrete().encode(static_cast<std::size_t>(
-          std::max_element(p.begin(), p.end()) - p.begin()));
-    }
-    return space_.box().clip(head);
-  }
-
-  double inference_cost_mflop() const override {
-    return net_.flops_per_forward() / 1e6;
-  }
-
- private:
-  /// Shared sampling math for act()/act_batch().
-  ActOutput sample_from_head(const Vec& head, Rng& rng) {
-    ActOutput out;
-    if (space_.is_discrete()) {
-      const std::size_t a = nn::Categorical::sample(head, rng);
-      out.action = space_.discrete().encode(a);
-      out.log_prob = nn::Categorical::log_prob(head, a);
-    } else {
-      const Vec raw = nn::DiagGaussian::sample(head, log_std_, rng);
-      out.log_prob = nn::DiagGaussian::log_prob(head, log_std_, raw);
-      out.action = space_.box().clip(raw);
-    }
-    return out;
-  }
-
-  nn::Mlp net_;
-  Vec log_std_;
-  env::ActionSpace space_;
-  Matrix obs_mat_;  // act_batch staging rows
-  Vec head_scratch_;
-};
 
 }  // namespace
 
@@ -182,7 +107,8 @@ ImpalaAlgorithm::ImpalaAlgorithm(std::size_t obs_dim,
 }
 
 std::unique_ptr<RolloutActor> ImpalaAlgorithm::make_actor() const {
-  return std::make_unique<ImpalaActor>(actor_, log_std_, action_space_);
+  // Same head and action encoding as PPO, so the same actor.
+  return make_ppo_actor(actor_, log_std_, action_space_);
 }
 
 Vec ImpalaAlgorithm::policy_params() const {

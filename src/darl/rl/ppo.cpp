@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
-#include "darl/common/kernel.hpp"
 #include "darl/nn/distributions.hpp"
 #include "darl/rl/gae.hpp"
 
@@ -30,15 +29,13 @@ std::vector<std::size_t> critic_sizes(std::size_t obs_dim,
   return sizes;
 }
 
-/// Inference-only PPO policy used by rollout workers.
+/// Inference-only policy used by PPO's and IMPALA's rollout workers.
 class PpoActor final : public RolloutActor {
  public:
-  PpoActor(const nn::Mlp& actor, Vec log_std, env::ActionSpace space,
-           std::uint64_t rng_seed)
+  PpoActor(const nn::Mlp& actor, Vec log_std, env::ActionSpace space)
       : net_(actor),  // copy
         log_std_(std::move(log_std)),
-        space_(std::move(space)),
-        scratch_rng_(rng_seed) {}
+        space_(std::move(space)) {}
 
   void set_params(const Vec& flat) override {
     const std::size_t net_n = net_.param_count();
@@ -53,24 +50,19 @@ class PpoActor final : public RolloutActor {
 
   ActOutput act(const Vec& obs, Rng& rng) override {
     const Vec head = net_.evaluate(obs);
-    return sample_from_head(head, rng);
-  }
-
-  DARL_KERNEL void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                             std::vector<ActOutput>& out) override {
-    DARL_CHECK(out.size() == obs.size(),
-               "act_batch: out has " << out.size() << " slots for "
-                                     << obs.size() << " observations");
-    if (obs.empty()) return;
-    obs_mat_.reshape(obs.size(), net_.input_dim());
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      std::copy(obs[i].begin(), obs[i].end(), obs_mat_.row(i));
+    ActOutput out;
+    if (space_.is_discrete()) {
+      const std::size_t a = nn::Categorical::sample(head, rng);
+      out.action = space_.discrete().encode(a);
+      out.log_prob = nn::Categorical::log_prob(head, a);
+    } else {
+      const Vec raw = nn::DiagGaussian::sample(head, log_std_, rng);
+      out.log_prob = nn::DiagGaussian::log_prob(head, log_std_, raw);
+      out.action = space_.box().clip(raw);
+      // log_prob intentionally refers to the unclipped draw (standard
+      // practice: the clip is part of the environment interface).
     }
-    const Matrix& heads = net_.evaluate_batch(obs_mat_);
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      head_scratch_.assign(heads.row(i), heads.row(i) + net_.output_dim());
-      out[i] = sample_from_head(head_scratch_, rng);
-    }
+    return out;
   }
 
   Vec act_greedy(const Vec& obs) override {
@@ -89,30 +81,9 @@ class PpoActor final : public RolloutActor {
   }
 
  private:
-  /// Shared sampling math for act()/act_batch(): one policy-head vector in,
-  /// one sampled action out.
-  ActOutput sample_from_head(const Vec& head, Rng& rng) {
-    ActOutput out;
-    if (space_.is_discrete()) {
-      const std::size_t a = nn::Categorical::sample(head, rng);
-      out.action = space_.discrete().encode(a);
-      out.log_prob = nn::Categorical::log_prob(head, a);
-    } else {
-      const Vec raw = nn::DiagGaussian::sample(head, log_std_, rng);
-      out.log_prob = nn::DiagGaussian::log_prob(head, log_std_, raw);
-      out.action = space_.box().clip(raw);
-      // log_prob intentionally refers to the unclipped draw (standard
-      // practice: the clip is part of the environment interface).
-    }
-    return out;
-  }
-
   nn::Mlp net_;
   Vec log_std_;
   env::ActionSpace space_;
-  Rng scratch_rng_;  // reserved for actor-local stochasticity
-  Matrix obs_mat_;   // act_batch staging rows
-  Vec head_scratch_;
 };
 
 }  // namespace
@@ -152,9 +123,15 @@ PpoAlgorithm::PpoAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
   critic_opt_ = std::make_unique<nn::Adam>(critic_.params(), config_.learning_rate);
 }
 
+std::unique_ptr<RolloutActor> make_ppo_actor(const nn::Mlp& actor,
+                                             Vec log_std,
+                                             env::ActionSpace space) {
+  return std::make_unique<PpoActor>(actor, std::move(log_std),
+                                    std::move(space));
+}
+
 std::unique_ptr<RolloutActor> PpoAlgorithm::make_actor() const {
-  return std::make_unique<PpoActor>(actor_, log_std_, action_space_,
-                                    rng_.seed() ^ 0xAC7012Full);
+  return make_ppo_actor(actor_, log_std_, action_space_);
 }
 
 Vec PpoAlgorithm::policy_params() const {
@@ -229,12 +206,10 @@ TrainStats PpoAlgorithm::train(const std::vector<WorkerBatch>& batches) {
   if (samples.empty()) return stats;
   stats.samples = samples.size();
 
-  if (config_.normalize_advantages) {
-    std::vector<double> advs(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i) advs[i] = samples[i].advantage;
-    normalize_advantages(advs);
-    for (std::size_t i = 0; i < samples.size(); ++i) samples[i].advantage = advs[i];
-  }
+  std::vector<double> advs(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) advs[i] = samples[i].advantage;
+  normalize_advantages(advs);
+  for (std::size_t i = 0; i < samples.size(); ++i) samples[i].advantage = advs[i];
 
   // 2) Minibatch epochs.
   double kl_sum = 0.0;

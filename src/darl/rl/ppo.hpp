@@ -35,9 +35,16 @@ struct PpoConfig {
   /// Stop the epoch loop when the approximate KL to the behaviour policy
   /// exceeds this (0 disables).
   double target_kl = 0.05;
-  bool normalize_advantages = true;
   double log_std_init = -0.5;    ///< continuous head initial log-std
 };
+
+/// The inference-only policy PPO's and IMPALA's workers act with: `actor`
+/// maps an observation to the policy head, categorical logits for a
+/// discrete `space` or the Gaussian mean beside the state-independent
+/// `log_std` for a box.
+std::unique_ptr<RolloutActor> make_ppo_actor(const nn::Mlp& actor,
+                                             Vec log_std,
+                                             env::ActionSpace space);
 
 /// PPO learner. See Algorithm for the role split.
 class PpoAlgorithm final : public Algorithm {
@@ -62,8 +69,6 @@ class PpoAlgorithm final : public Algorithm {
   double last_approx_kl() const { return last_kl_; }
 
  private:
-  friend class PpoActor;
-
   struct Sample {
     const Transition* t = nullptr;
     double advantage = 0.0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
-#include "darl/common/kernel.hpp"
 #include "darl/nn/distributions.hpp"
 
 namespace darl::rl {
@@ -69,24 +68,17 @@ class SacActor final : public RolloutActor {
 
   ActOutput act(const Vec& obs, Rng& rng) override {
     const Vec head = net_.evaluate(obs);
-    return sample_from_head(head, rng);
-  }
-
-  DARL_KERNEL void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                             std::vector<ActOutput>& out) override {
-    DARL_CHECK(out.size() == obs.size(),
-               "act_batch: out has " << out.size() << " slots for "
-                                     << obs.size() << " observations");
-    if (obs.empty()) return;
-    obs_mat_.reshape(obs.size(), net_.input_dim());
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      std::copy(obs[i].begin(), obs[i].end(), obs_mat_.row(i));
+    const std::size_t d = head.size() / 2;
+    Vec mean(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(d));
+    Vec log_std(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      log_std[i] = lo_ + 0.5 * (hi_ - lo_) * (std::tanh(head[d + i]) + 1.0);
     }
-    const Matrix& heads = net_.evaluate_batch(obs_mat_);
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      head_scratch_.assign(heads.row(i), heads.row(i) + net_.output_dim());
-      out[i] = sample_from_head(head_scratch_, rng);
-    }
+    const auto draw = nn::SquashedGaussian::sample(mean, log_std, rng);
+    ActOutput out;
+    out.action = scale_to_box(draw.action, box_);
+    out.log_prob = draw.log_prob;
+    return out;
   }
 
   Vec act_greedy(const Vec& obs) override {
@@ -101,27 +93,9 @@ class SacActor final : public RolloutActor {
   }
 
  private:
-  /// Shared sampling math for act()/act_batch(): split the head into mean
-  /// and softly clamped log-std, draw, scale into the env box.
-  ActOutput sample_from_head(const Vec& head, Rng& rng) {
-    const std::size_t d = head.size() / 2;
-    Vec mean(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(d));
-    Vec log_std(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      log_std[i] = lo_ + 0.5 * (hi_ - lo_) * (std::tanh(head[d + i]) + 1.0);
-    }
-    const auto draw = nn::SquashedGaussian::sample(mean, log_std, rng);
-    ActOutput out;
-    out.action = scale_to_box(draw.action, box_);
-    out.log_prob = draw.log_prob;
-    return out;
-  }
-
   nn::Mlp net_;
   env::BoxSpace box_;
   double lo_, hi_;
-  Matrix obs_mat_;  // act_batch staging rows
-  Vec head_scratch_;
 };
 
 }  // namespace
@@ -170,11 +144,6 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
     Vec& last_bias = *params[params.size() - 1].value;
     DARL_ASSERT(last_bias.size() == 2 * act_dim_, "unexpected actor head size");
     for (std::size_t i = 0; i < act_dim_; ++i) last_bias[act_dim_ + i] = 0.5;
-  }
-
-  if (config_.prioritized_replay) {
-    per_ = std::make_unique<PrioritizedReplayBuffer>(
-        config_.replay_capacity, config_.per_alpha);
   }
 
   log_alpha_.assign(1, std::log(config_.init_alpha));
@@ -241,20 +210,8 @@ void SacAlgorithm::polyak_update() {
 }
 
 void SacAlgorithm::one_update(TrainStats& stats) {
-  // Uniform or prioritized sampling; with PER the critic regression is
-  // importance-weighted and TD errors feed back as priorities.
-  std::vector<const Transition*> batch;
-  std::vector<std::size_t> per_indices;
-  std::vector<double> is_weights;
-  if (per_) {
-    PrioritizedBatch pb = per_->sample(config_.batch_size, config_.per_beta, rng_);
-    batch = std::move(pb.transitions);
-    per_indices = std::move(pb.indices);
-    is_weights = std::move(pb.weights);
-  } else {
-    batch = replay_.sample(config_.batch_size, rng_);
-    is_weights.assign(batch.size(), 1.0);
-  }
+  const std::vector<const Transition*> batch =
+      replay_.sample(config_.batch_size, rng_);
   const double inv_b = 1.0 / static_cast<double>(batch.size());
   const double a_now = alpha();
 
@@ -300,12 +257,11 @@ void SacAlgorithm::one_update(TrainStats& stats) {
     if (batch[i]->terminated) targets[i] = batch[i]->reward;
   }
 
-  // --- 2) Critic updates (importance-weighted MSE to targets): one
-  // forward/backward batch per critic instead of per sample.
+  // --- 2) Critic updates (MSE to targets): one forward/backward batch per
+  // critic instead of per sample.
   q1_.zero_grad();
   q2_.zero_grad();
   double q_loss = 0.0;
-  std::vector<double> new_priorities(per_ ? batch.size() : 0);
   mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Transition& tr = *batch[i];
@@ -319,17 +275,14 @@ void SacAlgorithm::one_update(TrainStats& stats) {
   mb_d1_.reshape(batch.size(), 1);
   mb_d2_.reshape(batch.size(), 1);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double w = is_weights[i];
     const double e1 = cv1(i, 0) - targets[i];
     const double e2 = cv2(i, 0) - targets[i];
-    mb_d1_(i, 0) = inv_b * w * e1;
-    mb_d2_(i, 0) = inv_b * w * e2;
-    q_loss += 0.5 * inv_b * w * (e1 * e1 + e2 * e2);
-    if (per_) new_priorities[i] = 0.5 * (std::abs(e1) + std::abs(e2));
+    mb_d1_(i, 0) = inv_b * e1;
+    mb_d2_(i, 0) = inv_b * e2;
+    q_loss += 0.5 * inv_b * (e1 * e1 + e2 * e2);
   }
   q1_.backward_batch(mb_d1_);
   q2_.backward_batch(mb_d2_);
-  if (per_) per_->update_priorities(per_indices, new_priorities);
   nn::clip_grad_norm(q1_.params(), config_.max_grad_norm);
   nn::clip_grad_norm(q2_.params(), config_.max_grad_norm);
   q1_opt_->step();
@@ -444,8 +397,7 @@ TrainStats SacAlgorithm::train(const std::vector<WorkerBatch>& batches) {
   std::size_t pushed = 0;
   for (const auto& b : batches) {
     for (const auto& tr : b.transitions) {
-      if (per_) per_->push(tr);
-      else replay_.push(tr);
+      replay_.push(tr);
       ++pushed;
     }
   }

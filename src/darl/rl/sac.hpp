@@ -15,7 +15,6 @@
 #include "darl/nn/mlp.hpp"
 #include "darl/nn/optimizer.hpp"
 #include "darl/rl/algorithm.hpp"
-#include "darl/rl/prioritized_replay.hpp"
 #include "darl/rl/replay_buffer.hpp"
 
 namespace darl::rl {
@@ -40,12 +39,6 @@ struct SacConfig {
   /// Soft bounds for the state-dependent log-std head.
   double log_std_min = -5.0;
   double log_std_max = 2.0;
-  /// Use proportional prioritized replay (the Ape-X ingredient, paper
-  /// §II-A) instead of uniform sampling. Critic updates are corrected with
-  /// importance-sampling weights and priorities track TD errors.
-  bool prioritized_replay = false;
-  double per_alpha = 0.6;  ///< priority shaping exponent
-  double per_beta = 0.4;   ///< importance-sampling correction exponent
 };
 
 /// SAC learner. See Algorithm for the learner/actor role split.
@@ -64,9 +57,7 @@ class SacAlgorithm final : public Algorithm {
 
   const SacConfig& config() const { return config_; }
   double alpha() const;
-  std::size_t replay_size() const {
-    return per_ ? per_->size() : replay_.size();
-  }
+  std::size_t replay_size() const { return replay_.size(); }
 
   /// Q-value estimate min(Q1, Q2)(obs, squashed_action) for tests.
   double q_value(const Vec& obs, const Vec& squashed_action);
@@ -90,7 +81,6 @@ class SacAlgorithm final : public Algorithm {
   Vec log_alpha_, log_alpha_grad_;
   std::unique_ptr<nn::Adam> actor_opt_, q1_opt_, q2_opt_, alpha_opt_;
   ReplayBuffer replay_;
-  std::unique_ptr<PrioritizedReplayBuffer> per_;
   double update_carry_ = 0.0;
   double target_entropy_ = 0.0;
 

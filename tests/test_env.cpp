@@ -11,7 +11,6 @@
 #include "darl/env/gridworld.hpp"
 #include "darl/env/mountain_car.hpp"
 #include "darl/env/pendulum.hpp"
-#include "darl/env/vec_env.hpp"
 #include "darl/env/wrappers.hpp"
 
 namespace darl::env {
@@ -166,28 +165,6 @@ TEST(EpisodeMonitor, RecordsRewardScoreAndLength) {
   EXPECT_DOUBLE_EQ(env->mean_recent_score(10), total);
 }
 
-TEST(RewardScale, MultipliesRewards) {
-  auto env = std::make_unique<RewardScale>(std::make_unique<CartPoleEnv>(), 0.5);
-  env->seed(3);
-  env->reset();
-  EXPECT_DOUBLE_EQ(env->step({0.0}).reward, 0.5);
-}
-
-TEST(ObservationNormalizer, OutputsBoundedObservations) {
-  auto env = std::make_unique<ObservationNormalizer>(
-      std::make_unique<PendulumEnv>(), 5.0);
-  env->seed(4);
-  Vec obs = env->reset();
-  for (int i = 0; i < 50; ++i) {
-    for (double v : obs) {
-      EXPECT_LE(std::abs(v), 5.0);
-      EXPECT_TRUE(std::isfinite(v));
-    }
-    obs = env->step({0.0}).observation;
-  }
-  EXPECT_EQ(env->observation_space().dim(), 3u);
-}
-
 TEST(MountainCar, NeedsMomentumToReachTheGoal) {
   env::MountainCarEnv env;
   env.seed(6);
@@ -290,45 +267,6 @@ TEST(GridWorld, ObservationIsOneHot) {
   for (double v : obs) sum += v;
   EXPECT_DOUBLE_EQ(sum, 1.0);
   EXPECT_DOUBLE_EQ(obs[0], 1.0);  // start at (0,0)
-}
-
-TEST(SyncVecEnv, StepsAllAndAutoResets) {
-  SyncVecEnv vec(make_cartpole_factory(10), 3, 42);
-  auto obs = vec.reset();
-  EXPECT_EQ(obs.size(), 3u);
-  std::size_t done_seen = 0;
-  for (int step = 0; step < 30; ++step) {
-    const VecStepResult r = vec.step(
-        {Vec{1.0}, Vec{1.0}, Vec{1.0}});
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(r.observation[i].size(), 4u);
-      if (r.terminated[i] || r.truncated[i]) {
-        ++done_seen;
-        EXPECT_FALSE(r.final_observation[i].empty());
-      } else {
-        EXPECT_TRUE(r.final_observation[i].empty());
-      }
-    }
-  }
-  EXPECT_GT(done_seen, 0u);
-  EXPECT_EQ(vec.all_episodes().size(), done_seen);
-}
-
-TEST(SyncVecEnv, SubEnvsGetDistinctSeeds) {
-  SyncVecEnv vec(make_cartpole_factory(), 2, 7);
-  const auto obs = vec.reset();
-  bool identical = true;
-  for (std::size_t i = 0; i < obs[0].size(); ++i) {
-    if (obs[0][i] != obs[1][i]) identical = false;
-  }
-  EXPECT_FALSE(identical);
-}
-
-TEST(SyncVecEnv, WrongActionCountThrows) {
-  SyncVecEnv vec(make_cartpole_factory(), 2, 7);
-  vec.reset();
-  EXPECT_THROW(vec.step({Vec{0.0}}), InvalidArgument);
-  EXPECT_THROW(SyncVecEnv(make_cartpole_factory(), 0, 1), InvalidArgument);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "darl/env/pendulum.hpp"
 #include "darl/env/wrappers.hpp"
 #include "darl/frameworks/backend.hpp"
+#include "darl/frameworks/worker.hpp"
 #include "darl/rl/evaluate.hpp"
 
 namespace darl::frameworks {
@@ -75,92 +76,22 @@ TEST(Worker, CollectionContinuesAcrossCalls) {
   EXPECT_LE(total_len, 30u);  // episodes fit inside the collected steps
 }
 
-TEST(Worker, ActBatchMatchesSequentialAct) {
+// The same seed, env and policy give the same batch, bit for bit; a
+// different seed gives a different trajectory.
+TEST(Worker, IdenticalSeedsProduceIdenticalBatches) {
   rl::AlgorithmSpec spec;
   spec.kind = rl::AlgoKind::PPO;
   auto algo =
       rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
-  auto batched = algo->make_actor();
-  auto sequential = algo->make_actor();
-  batched->set_params(algo->policy_params());
-  sequential->set_params(algo->policy_params());
-
-  std::vector<Vec> obs;
-  Rng data(41);
-  for (std::size_t i = 0; i < 9; ++i) {
-    Vec o(4);
-    for (double& v : o) v = data.normal(0.0, 1.0);
-    obs.push_back(std::move(o));
-  }
-
-  // Identical rng streams: the batched path must consume draws in the same
-  // per-slot order as a sequential loop.
-  Rng rng_a(17), rng_b(17);
-  std::vector<rl::ActOutput> out(obs.size());
-  batched->act_batch(obs, rng_a, out);
-  for (std::size_t i = 0; i < obs.size(); ++i) {
-    const rl::ActOutput ref = sequential->act(obs[i], rng_b);
-    ASSERT_EQ(out[i].action.size(), ref.action.size()) << "slot " << i;
-    for (std::size_t j = 0; j < ref.action.size(); ++j) {
-      EXPECT_EQ(out[i].action[j], ref.action[j]) << "slot " << i;
-    }
-    EXPECT_EQ(out[i].log_prob, ref.log_prob) << "slot " << i;
-  }
-}
-
-TEST(VecWorker, CollectsContiguousPerEnvSegments) {
-  rl::AlgorithmSpec spec;
-  spec.kind = rl::AlgoKind::PPO;
-  auto algo =
-      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
-  const std::size_t n_envs = 4;
-  RolloutWorker worker(1, env::make_cartpole_factory(20), n_envs,
-                       algo->make_actor(), 99);
-  worker.sync(algo->policy_params());
-
-  const rl::WorkerBatch batch = worker.collect(64);
-  ASSERT_EQ(batch.transitions.size(), 64u);
-  const std::size_t rounds = 64 / n_envs;
-  for (std::size_t e = 0; e < n_envs; ++e) {
-    for (std::size_t t = 0; t < rounds; ++t) {
-      const rl::Transition& tr = batch.transitions[e * rounds + t];
-      if (t + 1 == rounds) {
-        // A segment cut mid-episode is marked truncated so GAE / v-trace
-        // bootstrap instead of chaining into the next sub-env's segment.
-        EXPECT_TRUE(tr.done()) << "env " << e;
-      } else if (!tr.done()) {
-        // Mid-episode: this step's next_obs is the next step's obs.
-        const rl::Transition& nx = batch.transitions[e * rounds + t + 1];
-        ASSERT_EQ(tr.next_obs.size(), nx.obs.size());
-        for (std::size_t j = 0; j < nx.obs.size(); ++j) {
-          EXPECT_EQ(tr.next_obs[j], nx.obs[j]) << "env " << e << " step " << t;
-        }
-      }
-    }
-  }
-
-  const CollectCost cost = worker.take_cost();
-  EXPECT_EQ(cost.steps, 64u);
-  EXPECT_EQ(cost.inferences, 64u);
-  EXPECT_GT(cost.env_cost_units, 0.0);
-  EXPECT_EQ(worker.n_envs(), n_envs);
-
-  // 20-step time limit across 4 sub-envs for 16 rounds: episodes finished.
-  EXPECT_GE(worker.episodes().size(), 1u);
-}
-
-TEST(VecWorker, IdenticalSeedsProduceIdenticalBatches) {
-  rl::AlgorithmSpec spec;
-  spec.kind = rl::AlgoKind::PPO;
-  auto algo =
-      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
-  RolloutWorker a(0, env::make_cartpole_factory(20), 3, algo->make_actor(), 7);
-  RolloutWorker b(0, env::make_cartpole_factory(20), 3, algo->make_actor(), 7);
+  RolloutWorker a(0, env::make_cartpole_factory(20)(), algo->make_actor(), 7);
+  RolloutWorker b(0, env::make_cartpole_factory(20)(), algo->make_actor(), 7);
+  RolloutWorker c(0, env::make_cartpole_factory(20)(), algo->make_actor(), 8);
   a.sync(algo->policy_params());
   b.sync(algo->policy_params());
+  c.sync(algo->policy_params());
 
-  const rl::WorkerBatch ba = a.collect(24);
-  const rl::WorkerBatch bb = b.collect(24);
+  const rl::WorkerBatch ba = a.collect(48);
+  const rl::WorkerBatch bb = b.collect(48);
   ASSERT_EQ(ba.transitions.size(), bb.transitions.size());
   for (std::size_t i = 0; i < ba.transitions.size(); ++i) {
     EXPECT_EQ(ba.transitions[i].obs, bb.transitions[i].obs);
@@ -170,17 +101,141 @@ TEST(VecWorker, IdenticalSeedsProduceIdenticalBatches) {
     EXPECT_EQ(ba.transitions[i].terminated, bb.transitions[i].terminated);
     EXPECT_EQ(ba.transitions[i].truncated, bb.transitions[i].truncated);
   }
+  EXPECT_NE(c.collect(48).transitions[0].obs, ba.transitions[0].obs);
 }
 
-TEST(VecWorker, RejectsStepCountNotDivisibleByEnvs) {
+// Within an episode a transition's next_obs is the next transition's obs.
+// After a terminal or truncated step the worker resets, and its monitor
+// records exactly one episode per such step.
+TEST(Worker, StepsChainWithinEpisodesAndResetAfterThem) {
   rl::AlgorithmSpec spec;
   spec.kind = rl::AlgoKind::PPO;
   auto algo =
       rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
-  RolloutWorker worker(0, env::make_cartpole_factory(20), 4,
-                       algo->make_actor(), 3);
+  RolloutWorker worker(1, env::make_cartpole_factory(10)(), algo->make_actor(),
+                       99);
   worker.sync(algo->policy_params());
-  EXPECT_THROW(worker.collect(10), InvalidArgument);
+
+  const rl::WorkerBatch batch = worker.collect(60);
+  ASSERT_EQ(batch.transitions.size(), 60u);
+  std::size_t done = 0, end_of_last_episode = 0;
+  for (std::size_t i = 0; i < batch.transitions.size(); ++i) {
+    const rl::Transition& tr = batch.transitions[i];
+    if (tr.done()) {
+      ++done;
+      end_of_last_episode = i + 1;
+    }
+    if (i + 1 == batch.transitions.size()) break;
+    const rl::Transition& nx = batch.transitions[i + 1];
+    if (tr.done()) {
+      EXPECT_NE(tr.next_obs, nx.obs) << "no reset after step " << i;
+    } else {
+      EXPECT_EQ(tr.next_obs, nx.obs) << "step " << i;
+    }
+  }
+  EXPECT_GE(done, 6u);  // 10-step time limit over 60 steps
+  ASSERT_EQ(worker.episodes().size(), done);
+  std::size_t total_len = 0;
+  for (const auto& ep : worker.episodes()) total_len += ep.length;
+  EXPECT_EQ(total_len, end_of_last_episode);
+}
+
+// The worker samples with its own seeded stream through the parameters it
+// was last synced to: replaying its observations through an actor holding
+// those parameters, on a stream with the worker's seed, reproduces every
+// action and log-probability.
+TEST(Worker, ActionsReplayFromTheSyncedPolicyAndTheWorkerSeed) {
+  rl::AlgorithmSpec spec;
+  spec.kind = rl::AlgoKind::PPO;
+  const env::ActionSpace space(env::DiscreteSpace(2));
+  auto built_from = rl::make_algorithm(spec, 4, space, 1);
+  auto synced_to = rl::make_algorithm(spec, 4, space, 2);
+  RolloutWorker worker(0, env::make_cartpole_factory(20)(),
+                       built_from->make_actor(), 13);
+  worker.sync(synced_to->policy_params());
+  const rl::WorkerBatch batch = worker.collect(40);
+
+  auto replay = synced_to->make_actor();
+  Rng rng(13);
+  for (std::size_t i = 0; i < batch.transitions.size(); ++i) {
+    const rl::Transition& tr = batch.transitions[i];
+    const rl::ActOutput out = replay->act(tr.obs, rng);
+    EXPECT_EQ(out.action, tr.action) << "step " << i;
+    EXPECT_EQ(out.log_prob, tr.log_prob) << "step " << i;
+  }
+}
+
+/// Collects one round from `group` and returns the batches by global
+/// worker id. Each collection thread writes only its own worker's slot.
+std::vector<net::BatchMsg> collect_round(WorkerGroup& group,
+                                         std::size_t n_steps,
+                                         std::uint64_t version) {
+  std::vector<net::BatchMsg> by_id(group.first_id() + group.size());
+  group.collect(n_steps, version,
+                [&by_id](net::BatchMsg m) { by_id[m.worker] = std::move(m); });
+  return by_id;
+}
+
+// A worker's streams come from its global id alone (split stream 100 + id
+// of the run seed): hosted by itself, as an actor process on another node
+// hosts it, it collects the same batch as inside the full group, while its
+// siblings start from different states.
+TEST(WorkerGroup, WorkerStreamsDependOnTheGlobalIdOnly) {
+  rl::AlgorithmSpec spec;
+  spec.kind = rl::AlgoKind::PPO;
+  auto algo =
+      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
+  const env::EnvFactory factory = env::make_cartpole_factory(20);
+  WorkerGroup all(factory, *algo, 5, 0, 3);
+  WorkerGroup alone(factory, *algo, 5, 2, 1);
+  EXPECT_EQ(alone.first_id(), 2u);
+  EXPECT_EQ(alone.size(), 1u);
+  all.sync(algo->policy_params());
+  alone.sync(algo->policy_params());
+
+  const std::vector<net::BatchMsg> from_all = collect_round(all, 32, 4);
+  const std::vector<net::BatchMsg> from_alone = collect_round(alone, 32, 4);
+  const auto& x = from_all[2].transitions;
+  const auto& y = from_alone[2].transitions;
+  ASSERT_EQ(x.size(), 32u);
+  ASSERT_EQ(y.size(), 32u);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].obs, y[i].obs);
+    EXPECT_EQ(x[i].action, y[i].action);
+    EXPECT_EQ(x[i].log_prob, y[i].log_prob);
+  }
+  EXPECT_EQ(from_alone[2].worker, 2u);
+  EXPECT_EQ(from_alone[2].version, 4u);
+  EXPECT_NE(from_all[0].transitions[0].obs, from_all[1].transitions[0].obs);
+  EXPECT_NE(from_all[1].transitions[0].obs, from_all[2].transitions[0].obs);
+}
+
+// Each batch carries the episodes its worker finished since the previous
+// batch, so over several rounds every finished episode ships exactly once:
+// the shipped lengths add up to the steps taken minus the unfinished tail.
+TEST(WorkerGroup, ShipsEachFinishedEpisodeOnce) {
+  rl::AlgorithmSpec spec;
+  spec.kind = rl::AlgoKind::PPO;
+  auto algo =
+      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
+  WorkerGroup group(env::make_cartpole_factory(10), *algo, 3, 0, 2);
+  group.sync(algo->policy_params());
+
+  std::vector<std::size_t> episodes(2, 0), shipped_len(2, 0), steps(2, 0);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (const net::BatchMsg& m : collect_round(group, 25, round)) {
+      episodes[m.worker] += m.episodes.size();
+      for (const auto& ep : m.episodes) shipped_len[m.worker] += ep.length;
+      steps[m.worker] += m.steps;
+    }
+  }
+  for (std::size_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(steps[w], 75u);
+    EXPECT_GE(episodes[w], 7u) << "worker " << w;  // episodes of <= 10 steps
+    // The unfinished tail is shorter than the 10-step limit.
+    EXPECT_LE(shipped_len[w], 75u) << "worker " << w;
+    EXPECT_GT(shipped_len[w], 65u) << "worker " << w;
+  }
 }
 
 TEST(Backends, FactoryAndNames) {
@@ -377,6 +432,17 @@ TrainRequest pendulum_sac_request() {
   return req;
 }
 
+// The same Pendulum budget for an on-policy learner: PPO and IMPALA run
+// their diagonal-Gaussian heads with the state-independent log-std.
+TrainRequest pendulum_request(rl::AlgoKind kind, std::size_t nodes) {
+  TrainRequest req = pendulum_sac_request();
+  req.algo.kind = kind;
+  req.algo.ppo.epochs = 2;
+  req.algo.ppo.minibatch_size = 32;
+  req.deployment = {nodes, 2};
+  return req;
+}
+
 TEST(Backends, SacRunsThroughBackends) {
   const TrainRequest req = pendulum_sac_request();
   for (const auto kind : {FrameworkKind::RayRllib, FrameworkKind::StableBaselines,
@@ -413,7 +479,9 @@ std::uint64_t result_digest(const TrainResult& r) {
 
 // Digests recorded before the four per-framework loops were folded into
 // one schedule (DESIGN.md §17 "One schedule"): the shared loop must
-// reproduce each framework's result bit for bit.
+// reproduce each framework's result bit for bit. The two Pendulum
+// on-policy digests were recorded while IMPALA still had its own copy of
+// the PPO rollout actor, so they pin the merge of the two.
 TEST(Backends, TrainResultBitsArePinned) {
   struct Case {
     const char* name;
@@ -439,6 +507,10 @@ TEST(Backends, TrainResultBitsArePinned) {
       {"rllib_sac", FrameworkKind::RayRllib, pendulum_sac_request(), 0x7c4ef386730495aeull},
       {"sb_sac", FrameworkKind::StableBaselines, pendulum_sac_request(), 0x926b094264528a2bull},
       {"tfa_sac", FrameworkKind::TfAgents, pendulum_sac_request(), 0xd16edc2c035a5d85ull},
+      {"sb_ppo_pendulum", FrameworkKind::StableBaselines,
+       pendulum_request(rl::AlgoKind::PPO, 1), 0xd5b091f134314c3eull},
+      {"rllib_impala_pendulum_2x2", FrameworkKind::RayRllib,
+       pendulum_request(rl::AlgoKind::IMPALA, 2), 0xdc2e939fd6b9d9aaull},
   };
   for (const Case& c : cases) {
     const TrainResult r = make_backend(c.kind)->run(c.request);

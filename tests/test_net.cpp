@@ -392,6 +392,75 @@ TEST(NetWire, BatchRoundTripBitwise) {
   }
 }
 
+// Each payload below is a few dozen bytes and claims 10^12 elements
+// somewhere. The decoder must turn the lie into a WireError before it
+// sizes a buffer from the count: sizing first would ask for terabytes and
+// fail as std::bad_alloc, and a smaller lie would be a large allocation.
+// One test per decoded count, so a failure names the count that slipped.
+TEST(NetWire, JobHiddenCountIsBoundedByThePayload) {
+  const std::string p = "job PPO\nhidden 1000000000000 64 64\n";
+  EXPECT_LT(p.size(), 64u);
+  EXPECT_THROW(net::decode_job(p), net::WireError);
+}
+
+TEST(NetWire, JobEnvLengthIsBoundedByThePayload) {
+  const std::string p =
+      "job PPO\nhidden 0\nseed 0\ntopology 0 2 1 8\ninterface 4 1\n"
+      "env 1000000000000\nx";
+  EXPECT_LT(p.size(), 80u);  // the fields before `env` alone take 59 bytes
+  EXPECT_THROW(net::decode_job(p), net::WireError);
+}
+
+TEST(NetWire, WeightsLengthIsBoundedByThePayload) {
+  const std::string p = "weights 3 1000000000000\ndarl-checkpoint-v2\n";
+  EXPECT_LT(p.size(), 64u);
+  EXPECT_THROW(net::decode_weights(p), net::WireError);
+}
+
+TEST(NetWire, BatchEpisodeCountIsBoundedByThePayload) {
+  const std::string p = "batch 0 0\ncost 0 0 0\nepisodes 1000000000000\n1 1 1\n";
+  EXPECT_LT(p.size(), 64u);
+  EXPECT_THROW(net::decode_batch_msg(p), net::WireError);
+}
+
+TEST(NetWire, BatchTransitionCountIsBoundedByThePayload) {
+  const std::string p =
+      "batch 0 0\ncost 0 0 0\nepisodes 0\ntransitions 1000000000000\n";
+  EXPECT_LT(p.size(), 64u);
+  EXPECT_THROW(net::decode_batch_msg(p), net::WireError);
+}
+
+TEST(NetWire, BatchVectorLengthIsBoundedByThePayload) {
+  const std::string p =
+      "batch 0 0\ncost 0 0 0\nepisodes 0\ntransitions 1\n"
+      "0 0 0 0\n1000000000000 1\n";
+  EXPECT_LT(p.size(), 80u);  // one transition's fixed fields come first
+  EXPECT_THROW(net::decode_batch_msg(p), net::WireError);
+}
+
+// The bound is each element's shortest encoding, so the tightest honest
+// messages (one-digit fields, empty vectors, a trailing string that ends
+// the payload) still decode.
+TEST(NetWire, TightestHonestMessagesStillDecode) {
+  net::BatchMsg b;
+  b.episodes.resize(2);
+  b.transitions.resize(3);
+  const net::BatchMsg b2 = net::decode_batch_msg(net::encode_batch_msg(b));
+  EXPECT_EQ(b2.episodes.size(), 2u);
+  EXPECT_EQ(b2.transitions.size(), 3u);
+
+  net::JobMsg job;
+  job.hidden = {1, 2, 3};
+  job.env_spec = "x";
+  const net::JobMsg job2 = net::decode_job(net::encode_job(job));
+  EXPECT_EQ(job2.hidden, job.hidden);
+  EXPECT_EQ(job2.env_spec, "x");
+
+  net::WeightsMsg w;
+  w.version = 1;
+  EXPECT_TRUE(net::decode_weights(net::encode_weights(w)).checkpoint.empty());
+}
+
 TEST(NetWire, EveryMessageTypeOverASocketpair) {
   FdPair p;
   net::MsgChannel tx(std::move(p.a));

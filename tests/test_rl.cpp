@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "darl/common/error.hpp"
 #include "darl/env/cartpole.hpp"
@@ -15,7 +16,6 @@
 #include "darl/rl/factory.hpp"
 #include "darl/rl/gae.hpp"
 #include "darl/rl/impala.hpp"
-#include "darl/rl/prioritized_replay.hpp"
 #include "darl/rl/replay_buffer.hpp"
 
 namespace darl::rl {
@@ -186,6 +186,36 @@ TEST(Impala, BuildsActsAndTrains) {
   EXPECT_TRUE(changed);
 }
 
+// IMPALA rolls out through the PPO actor: a PPO actor loaded with IMPALA's
+// policy parameters draws the same actions with the same log-probabilities
+// on the same stream, for the categorical and the Gaussian head.
+TEST(Impala, ActorMatchesPpoActorOnSharedParams) {
+  for (const env::ActionSpace& space :
+       {env::ActionSpace(env::DiscreteSpace(3)),
+        env::ActionSpace(env::BoxSpace(2, -1.0, 1.0))}) {
+    AlgorithmSpec impala_spec;
+    impala_spec.kind = AlgoKind::IMPALA;
+    AlgorithmSpec ppo_spec;
+    ppo_spec.kind = AlgoKind::PPO;
+    auto impala = make_algorithm(impala_spec, 4, space, 3);
+    auto ppo = make_algorithm(ppo_spec, 4, space, 8);
+    auto impala_actor = impala->make_actor();
+    auto ppo_actor = ppo->make_actor();
+    ppo_actor->set_params(impala->policy_params());
+
+    Rng data(10), rng_a(9), rng_b(9);
+    for (int i = 0; i < 20; ++i) {
+      Vec obs(4);
+      for (double& v : obs) v = data.normal(0.0, 1.0);
+      const ActOutput a = impala_actor->act(obs, rng_a);
+      const ActOutput b = ppo_actor->act(obs, rng_b);
+      EXPECT_EQ(a.action, b.action) << "draw " << i;
+      EXPECT_EQ(a.log_prob, b.log_prob) << "draw " << i;
+      EXPECT_EQ(impala_actor->act_greedy(obs), ppo_actor->act_greedy(obs));
+    }
+  }
+}
+
 TEST(ReplayBuffer, RingOverwriteAndSampling) {
   ReplayBuffer buf(3);
   EXPECT_TRUE(buf.empty());
@@ -204,138 +234,18 @@ TEST(ReplayBuffer, RingOverwriteAndSampling) {
   EXPECT_THROW(empty.sample(1, rng), InvalidArgument);
 }
 
-TEST(SumTree, SetGetTotalAndMax) {
-  SumTree tree(5);
-  tree.set(0, 1.0);
-  tree.set(3, 4.0);
-  tree.set(4, 2.0);
-  EXPECT_DOUBLE_EQ(tree.get(3), 4.0);
-  EXPECT_DOUBLE_EQ(tree.total(), 7.0);
-  EXPECT_DOUBLE_EQ(tree.max_value(), 4.0);
-  tree.set(3, 0.5);
-  EXPECT_DOUBLE_EQ(tree.total(), 3.5);
-  EXPECT_THROW(tree.set(5, 1.0), InvalidArgument);
-  EXPECT_THROW(tree.set(0, -1.0), InvalidArgument);
-  EXPECT_THROW(SumTree(0), InvalidArgument);
-}
-
-TEST(SumTree, SamplePicksLeafByPrefix) {
-  SumTree tree(4);
-  tree.set(0, 1.0);  // [0, 1)
-  tree.set(1, 3.0);  // [1, 4)
-  tree.set(2, 0.0);  // empty
-  tree.set(3, 2.0);  // [4, 6)
-  EXPECT_EQ(tree.sample(0.5), 0u);
-  EXPECT_EQ(tree.sample(1.0), 1u);
-  EXPECT_EQ(tree.sample(3.9), 1u);
-  EXPECT_EQ(tree.sample(4.1), 3u);
-  EXPECT_EQ(tree.sample(5.999), 3u);
-  // Prefix at/above total clamps to the last positive leaf.
-  EXPECT_EQ(tree.sample(6.0), 3u);
-}
-
-TEST(SumTree, SamplingFrequenciesMatchWeights) {
-  SumTree tree(3);
-  tree.set(0, 1.0);
-  tree.set(1, 2.0);
-  tree.set(2, 7.0);
+TEST(ReplayBuffer, SamplesEveryStoredTransitionUniformly) {
+  ReplayBuffer buf(4);
+  for (int i = 0; i < 4; ++i) buf.push(make_tr(static_cast<double>(i), false));
   Rng rng(5);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) {
-    ++counts[tree.sample(rng.uniform(0.0, tree.total()))];
+  const std::size_t n = 40000;
+  std::vector<std::size_t> counts(4, 0);
+  for (const Transition* t : buf.sample(n, rng)) {
+    ++counts[static_cast<std::size_t>(t->reward)];
   }
-  EXPECT_NEAR(counts[0] / 40000.0, 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / 40000.0, 0.2, 0.015);
-  EXPECT_NEAR(counts[2] / 40000.0, 0.7, 0.02);
-}
-
-TEST(PrioritizedReplay, HighPriorityTransitionsSampledMoreOften) {
-  PrioritizedReplayBuffer buf(8, /*alpha=*/1.0);
-  for (int i = 0; i < 8; ++i) buf.push(make_tr(static_cast<double>(i), false));
-  // Give slot 3 a much larger priority than the rest.
-  std::vector<std::size_t> idx{0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<double> pri{0.1, 0.1, 0.1, 10.0, 0.1, 0.1, 0.1, 0.1};
-  buf.update_priorities(idx, pri);
-
-  Rng rng(6);
-  int hits = 0, draws = 0;
-  for (int round = 0; round < 200; ++round) {
-    const PrioritizedBatch b = buf.sample(8, 0.5, rng);
-    for (std::size_t i = 0; i < b.transitions.size(); ++i) {
-      ++draws;
-      if (b.indices[i] == 3) {
-        ++hits;
-        // Over-sampled transitions carry the smallest IS weights.
-        EXPECT_LE(b.weights[i], 1.0);
-      }
-    }
+  for (const std::size_t c : counts) {
+    EXPECT_NEAR(static_cast<double>(c) / static_cast<double>(n), 0.25, 0.015);
   }
-  // p(slot 3) = 10.1/10.8-ish >> uniform 1/8.
-  EXPECT_GT(static_cast<double>(hits) / draws, 0.6);
-}
-
-TEST(PrioritizedReplay, WeightsNormalizedAndPushUsesMaxPriority) {
-  PrioritizedReplayBuffer buf(4, 0.6);
-  buf.push(make_tr(1.0, false));
-  buf.update_priorities({0}, {5.0});
-  buf.push(make_tr(2.0, false));  // inherits max priority (5.0)
-  EXPECT_DOUBLE_EQ(buf.priority(1), 5.0);
-
-  Rng rng(7);
-  const PrioritizedBatch b = buf.sample(16, 1.0, rng);
-  double max_w = 0.0;
-  for (double w : b.weights) {
-    EXPECT_GT(w, 0.0);
-    max_w = std::max(max_w, w);
-  }
-  EXPECT_DOUBLE_EQ(max_w, 1.0);
-  EXPECT_THROW(buf.update_priorities({9}, {1.0}), InvalidArgument);
-  EXPECT_THROW(buf.sample(4, 1.5, rng), InvalidArgument);
-}
-
-TEST(PrioritizedReplay, RingOverwriteKeepsTreeConsistent) {
-  PrioritizedReplayBuffer buf(3, 1.0);
-  for (int i = 0; i < 7; ++i) buf.push(make_tr(static_cast<double>(i), false));
-  EXPECT_EQ(buf.size(), 3u);
-  Rng rng(8);
-  const PrioritizedBatch b = buf.sample(30, 0.4, rng);
-  for (const Transition* t : b.transitions) {
-    EXPECT_GE(t->reward, 4.0);  // only the latest three survive
-  }
-}
-
-TEST(SacTrain, PrioritizedReplayPathRuns) {
-  AlgorithmSpec spec;
-  spec.kind = AlgoKind::SAC;
-  spec.sac.warmup_steps = 32;
-  spec.sac.batch_size = 16;
-  spec.sac.updates_per_step = 0.5;
-  spec.sac.prioritized_replay = true;
-  auto algo =
-      make_algorithm(spec, 3, env::ActionSpace(env::BoxSpace(1, -2.0, 2.0)), 19);
-  auto actor = algo->make_actor();
-
-  auto env = env::make_pendulum_factory(50)();
-  env->seed(4);
-  Rng rng(4);
-  WorkerBatch batch;
-  Vec obs = env->reset();
-  for (int i = 0; i < 96; ++i) {
-    const ActOutput a = actor->act(obs, rng);
-    const env::StepResult r = env->step(a.action);
-    Transition t;
-    t.obs = obs;
-    t.action = a.action;
-    t.reward = r.reward;
-    t.next_obs = r.observation;
-    t.terminated = r.terminated;
-    t.truncated = r.truncated;
-    batch.transitions.push_back(t);
-    obs = r.done() ? env->reset() : r.observation;
-  }
-  const TrainStats stats = algo->train({batch});
-  EXPECT_GT(stats.gradient_steps, 0u);
-  EXPECT_TRUE(std::isfinite(stats.value_loss));
 }
 
 TEST(Factory, BuildsPpoAndSac) {
@@ -495,6 +405,51 @@ TEST(SacTrain, WarmupThenUpdates) {
   EXPECT_GT(s2.train_cost_mflop, 0.0);
 }
 
+// SAC has one update path (uniform replay, unweighted critic loss), a
+// function of the seed and the data alone: two learners built alike and
+// fed the same transitions end with the same parameters, bit for bit.
+TEST(SacTrain, SameSeedAndDataGiveIdenticalUpdates) {
+  AlgorithmSpec spec;
+  spec.kind = AlgoKind::SAC;
+  spec.sac.warmup_steps = 32;
+  spec.sac.batch_size = 16;
+  spec.sac.updates_per_step = 0.5;
+  const env::ActionSpace space(env::BoxSpace(1, -2.0, 2.0));
+  auto a = make_algorithm(spec, 3, space, 19);
+  auto b = make_algorithm(spec, 3, space, 19);
+  auto actor = a->make_actor();
+
+  auto env = env::make_pendulum_factory(50)();
+  env->seed(4);
+  Rng rng(4);
+  WorkerBatch batch;
+  Vec obs = env->reset();
+  for (int i = 0; i < 96; ++i) {
+    const ActOutput act = actor->act(obs, rng);
+    const env::StepResult r = env->step(act.action);
+    Transition t;
+    t.obs = obs;
+    t.action = act.action;
+    t.reward = r.reward;
+    t.next_obs = r.observation;
+    t.terminated = r.terminated;
+    t.truncated = r.truncated;
+    batch.transitions.push_back(t);
+    obs = r.done() ? env->reset() : r.observation;
+  }
+
+  const Vec before = a->policy_params();
+  const TrainStats sa = a->train({batch});
+  const TrainStats sb = b->train({batch});
+  EXPECT_GT(sa.gradient_steps, 0u);
+  EXPECT_EQ(sa.gradient_steps, sb.gradient_steps);
+  EXPECT_TRUE(std::isfinite(sa.value_loss));
+  EXPECT_EQ(sa.value_loss, sb.value_loss);
+  EXPECT_EQ(sa.policy_loss, sb.policy_loss);
+  EXPECT_EQ(a->policy_params(), b->policy_params());
+  EXPECT_NE(a->policy_params(), before);
+}
+
 TEST(Checkpoint, RoundTripPreservesPolicyBehaviour) {
   AlgorithmSpec spec;
   spec.kind = AlgoKind::PPO;
@@ -586,6 +541,19 @@ TEST(Checkpoint, V2DetectsCorruptionAndTruncation) {
   // Cut the parameter block short.
   std::stringstream short_params("darl-checkpoint-v2\nPPO 2 1 3\n1.5\n");
   EXPECT_THROW(load_checkpoint(short_params), CheckpointError);
+}
+
+// A short stream that claims 10^12 parameters must be a CheckpointError.
+// Sizing the parameters from the count would ask for 8 TB first and fail
+// as std::bad_alloc, and a smaller lie would be a large allocation.
+TEST(Checkpoint, V1ClaimedCountSizesNothing) {
+  std::istringstream in("darl-checkpoint-v1\nPPO 4 1 1000000000000\n0.5 0.25\n");
+  EXPECT_THROW(load_checkpoint(in), CheckpointError);
+}
+
+TEST(Checkpoint, V2ClaimedCountSizesNothing) {
+  std::istringstream in("darl-checkpoint-v2\nPPO 4 1 1000000000000\n0.5\n");
+  EXPECT_THROW(load_checkpoint(in), CheckpointError);
 }
 
 TEST(Checkpoint, LegacyV1FilesStillLoad) {
