@@ -126,12 +126,6 @@ SquashedGaussian::Draw SquashedGaussian::sample(const Vec& mean,
   return d;
 }
 
-Vec SquashedGaussian::mode(const Vec& mean) {
-  Vec a(mean.size());
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::tanh(mean[i]);
-  return a;
-}
-
 double SquashedGaussian::log_prob(const Vec& mean, const Vec& log_std,
                                   const Vec& pre_tanh) {
   double lp = DiagGaussian::log_prob(mean, log_std, pre_tanh);

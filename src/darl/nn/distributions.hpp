@@ -72,9 +72,6 @@ struct SquashedGaussian {
   /// Reparameterized sample.
   static Draw sample(const Vec& mean, const Vec& log_std, Rng& rng);
 
-  /// Deterministic action (tanh of the mean) for evaluation.
-  static Vec mode(const Vec& mean);
-
   /// log-probability of an existing draw (recomputed from z).
   static double log_prob(const Vec& mean, const Vec& log_std,
                          const Vec& pre_tanh);

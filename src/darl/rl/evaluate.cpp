@@ -14,7 +14,6 @@ EvalResult evaluate_policy(RolloutActor& actor, env::Env& environment,
     Vec obs = environment.reset();
     double total = 0.0;
     std::size_t steps = 0;
-    bool terminated = false;
     while (steps < max_steps_per_episode) {
       Vec action = stochastic ? actor.act(obs, rng).action
                               : actor.act_greedy(obs);
@@ -23,12 +22,8 @@ EvalResult evaluate_policy(RolloutActor& actor, env::Env& environment,
       total += r.reward;
       ++steps;
       obs = r.observation;
-      if (r.done()) {
-        terminated = r.terminated;
-        break;
-      }
+      if (r.done()) break;
     }
-    (void)terminated;
     out.mean_total_reward += total;
     out.mean_score += environment.episode_score().value_or(total);
     out.mean_length += static_cast<double>(steps);

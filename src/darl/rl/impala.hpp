@@ -10,12 +10,9 @@
 
 #pragma once
 
-#include <memory>
+#include <vector>
 
-#include "darl/common/rng.hpp"
-#include "darl/nn/mlp.hpp"
-#include "darl/nn/optimizer.hpp"
-#include "darl/rl/algorithm.hpp"
+#include "darl/rl/actor_critic.hpp"
 
 namespace darl::rl {
 
@@ -49,39 +46,23 @@ VtraceResult compute_vtrace(const std::vector<Transition>& stream,
                             const std::vector<double>& bootstrap, double gamma,
                             double rho_clip, double c_clip);
 
-/// IMPALA learner; action-space handling mirrors PpoAlgorithm (categorical
-/// or diagonal Gaussian policy head).
-class ImpalaAlgorithm final : public Algorithm {
+/// IMPALA learner. See ActorCritic for the shared networks (the same
+/// categorical or Gaussian policy head as PpoAlgorithm).
+class ImpalaAlgorithm final : public ActorCritic {
  public:
   ImpalaAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                   ImpalaConfig config, std::uint64_t seed);
 
-  AlgoKind kind() const override { return AlgoKind::IMPALA; }
-  std::unique_ptr<RolloutActor> make_actor() const override;
-  Vec policy_params() const override;
-  std::size_t params_bytes() const override;
-  std::size_t transition_bytes() const override;
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
   const ImpalaConfig& config() const { return config_; }
-  double value(const Vec& obs) const;
 
  private:
-  std::size_t obs_dim_;
-  env::ActionSpace action_space_;
   ImpalaConfig config_;
-  Rng rng_;
 
-  nn::Mlp actor_;
-  Vec log_std_, log_std_grad_;
-  nn::Mlp critic_;
-  std::unique_ptr<nn::Adam> actor_opt_, critic_opt_;
-
-  // Reusable batched-kernel staging buffers; capacity grows to the longest
+  // Reusable output-gradient staging; capacity grows to the longest
   // worker stream, then train() stops allocating in the network hot path.
-  Matrix st_obs_, st_boot_obs_, st_dhead_, st_dv_;
-  std::vector<std::size_t> boot_idx_;
-  Vec head_scratch_, d_mean_, d_log_std_;
+  Matrix st_dhead_, st_dv_;
 };
 
 }  // namespace darl::rl

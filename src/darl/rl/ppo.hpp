@@ -9,13 +9,9 @@
 
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <vector>
 
-#include "darl/common/rng.hpp"
-#include "darl/nn/mlp.hpp"
-#include "darl/nn/optimizer.hpp"
-#include "darl/rl/algorithm.hpp"
+#include "darl/rl/actor_critic.hpp"
 
 namespace darl::rl {
 
@@ -38,32 +34,16 @@ struct PpoConfig {
   double log_std_init = -0.5;    ///< continuous head initial log-std
 };
 
-/// The inference-only policy PPO's and IMPALA's workers act with: `actor`
-/// maps an observation to the policy head, categorical logits for a
-/// discrete `space` or the Gaussian mean beside the state-independent
-/// `log_std` for a box.
-std::unique_ptr<RolloutActor> make_ppo_actor(const nn::Mlp& actor,
-                                             Vec log_std,
-                                             env::ActionSpace space);
-
-/// PPO learner. See Algorithm for the role split.
-class PpoAlgorithm final : public Algorithm {
+/// PPO learner. See ActorCritic for the shared networks and Algorithm for
+/// the role split.
+class PpoAlgorithm final : public ActorCritic {
  public:
   PpoAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                PpoConfig config, std::uint64_t seed);
 
-  AlgoKind kind() const override { return AlgoKind::PPO; }
-  std::unique_ptr<RolloutActor> make_actor() const override;
-  Vec policy_params() const override;
-  std::size_t params_bytes() const override;
-  std::size_t transition_bytes() const override;
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
   const PpoConfig& config() const { return config_; }
-  const env::ActionSpace& action_space() const { return action_space_; }
-
-  /// Critic value estimate for an observation (exposed for tests).
-  double value(const Vec& obs) const;
 
   /// Mean approximate KL of the last train() call (diagnostics).
   double last_approx_kl() const { return last_kl_; }
@@ -75,26 +55,13 @@ class PpoAlgorithm final : public Algorithm {
     double ret = 0.0;
   };
 
-  std::size_t obs_dim_;
-  env::ActionSpace action_space_;
   PpoConfig config_;
-  Rng rng_;
-
-  nn::Mlp actor_;
-  Vec log_std_;       // continuous head only
-  Vec log_std_grad_;
-  nn::Mlp critic_;
-  std::unique_ptr<nn::Adam> actor_opt_;
-  std::unique_ptr<nn::Adam> critic_opt_;
   double last_kl_ = 0.0;
 
-  // Reusable staging buffers for the batched kernels. Capacity grows to
-  // the largest stream / minibatch seen, then train() runs allocation-free
-  // apart from the sample index vectors.
-  Matrix gae_obs_;
+  // Reusable minibatch staging for the batched kernels. Capacity grows to
+  // the largest minibatch seen, then train() runs allocation-free apart
+  // from the sample index vectors.
   Matrix mb_obs_, mb_dhead_, mb_dv_;
-  std::vector<std::size_t> boot_idx_;
-  Vec head_scratch_, d_mean_, d_log_std_;
 };
 
 }  // namespace darl::rl

@@ -5,26 +5,20 @@
 
 #include "darl/common/error.hpp"
 #include "darl/nn/distributions.hpp"
+#include "darl/rl/policy.hpp"
 
 namespace darl::rl {
 namespace {
 
-std::vector<std::size_t> actor_sizes(std::size_t obs_dim, std::size_t act_dim,
-                                     const std::vector<std::size_t>& hidden) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(obs_dim);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(2 * act_dim);
-  return sizes;
-}
-
-std::vector<std::size_t> critic_sizes(std::size_t obs_dim, std::size_t act_dim,
-                                      const std::vector<std::size_t>& hidden) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(obs_dim + act_dim);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(1);
-  return sizes;
+/// Split one actor head row into its mean and its log-std, the raw
+/// log-std softly clamped into [lo, hi] through tanh.
+void split_head(const double* head, std::size_t dim, double lo, double hi,
+                Vec& mean, Vec& log_std) {
+  mean.assign(head, head + dim);
+  log_std.resize(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    log_std[i] = lo + 0.5 * (hi - lo) * (std::tanh(head[dim + i]) + 1.0);
+  }
 }
 
 /// Affine map between the squashed action in [-1,1]^d and the env box.
@@ -60,32 +54,32 @@ Vec concat(const Vec& a, const Vec& b) {
 /// Inference-only SAC policy for rollout workers.
 class SacActor final : public RolloutActor {
  public:
-  SacActor(const nn::Mlp& actor, env::BoxSpace box, double log_std_min,
+  SacActor(const nn::Mlp& actor, env::ActionSpace space, double log_std_min,
            double log_std_max)
-      : net_(actor), box_(std::move(box)), lo_(log_std_min), hi_(log_std_max) {}
+      : net_(actor),
+        space_(std::move(space)),
+        lo_(log_std_min),
+        hi_(log_std_max) {}
 
   void set_params(const Vec& flat) override { net_.set_flat_params(flat); }
 
   ActOutput act(const Vec& obs, Rng& rng) override {
     const Vec head = net_.evaluate(obs);
-    const std::size_t d = head.size() / 2;
-    Vec mean(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(d));
-    Vec log_std(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      log_std[i] = lo_ + 0.5 * (hi_ - lo_) * (std::tanh(head[d + i]) + 1.0);
-    }
+    Vec mean, log_std;
+    split_head(head.data(), head.size() / 2, lo_, hi_, mean, log_std);
     const auto draw = nn::SquashedGaussian::sample(mean, log_std, rng);
     ActOutput out;
-    out.action = scale_to_box(draw.action, box_);
+    out.action = scale_to_box(draw.action, space_.box());
     out.log_prob = draw.log_prob;
     return out;
   }
 
   Vec act_greedy(const Vec& obs) override {
     const Vec head = net_.evaluate(obs);
-    const std::size_t d = head.size() / 2;
-    Vec mean(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(d));
-    return scale_to_box(nn::SquashedGaussian::mode(mean), box_);
+    Vec action(space_.action_dim());
+    greedy_action(PolicyHead::SquashedGaussian, space_, head.data(),
+                  action.data());
+    return action;
   }
 
   double inference_cost_mflop() const override {
@@ -94,7 +88,7 @@ class SacActor final : public RolloutActor {
 
  private:
   nn::Mlp net_;
-  env::BoxSpace box_;
+  env::ActionSpace space_;
   double lo_, hi_;
 };
 
@@ -114,17 +108,18 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
       rng_(seed),
       actor_([&] {
         Rng init = rng_.split(1);
-        return nn::Mlp(actor_sizes(obs_dim, act_dim_, config_.hidden),
-                       nn::Activation::ReLU, init);
+        const PolicyShape shape = policy_shape(AlgoKind::SAC, obs_dim,
+                                               action_space_, config_.hidden);
+        return nn::Mlp(shape.sizes, shape.activation, init);
       }()),
       q1_([&] {
         Rng init = rng_.split(2);
-        return nn::Mlp(critic_sizes(obs_dim, act_dim_, config_.hidden),
+        return nn::Mlp(mlp_sizes(obs_dim + act_dim_, config_.hidden, 1),
                        nn::Activation::ReLU, init);
       }()),
       q2_([&] {
         Rng init = rng_.split(3);
-        return nn::Mlp(critic_sizes(obs_dim, act_dim_, config_.hidden),
+        return nn::Mlp(mlp_sizes(obs_dim + act_dim_, config_.hidden, 1),
                        nn::Activation::ReLU, init);
       }()),
       q1_target_(q1_),
@@ -163,7 +158,7 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
 double SacAlgorithm::alpha() const { return std::exp(log_alpha_[0]); }
 
 std::unique_ptr<RolloutActor> SacAlgorithm::make_actor() const {
-  return std::make_unique<SacActor>(actor_, action_space_.box(),
+  return std::make_unique<SacActor>(actor_, action_space_,
                                     config_.log_std_min, config_.log_std_max);
 }
 
@@ -175,16 +170,6 @@ std::size_t SacAlgorithm::params_bytes() const {
 
 std::size_t SacAlgorithm::transition_bytes() const {
   return (2 * obs_dim_ + act_dim_ + 4) * sizeof(double);
-}
-
-void SacAlgorithm::split_head(const Vec& head, Vec& mean, Vec& log_std) const {
-  mean.assign(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(act_dim_));
-  log_std.resize(act_dim_);
-  for (std::size_t i = 0; i < act_dim_; ++i) {
-    log_std[i] = config_.log_std_min +
-                 0.5 * (config_.log_std_max - config_.log_std_min) *
-                     (std::tanh(head[act_dim_ + i]) + 1.0);
-  }
 }
 
 double SacAlgorithm::q_value(const Vec& obs, const Vec& squashed_action) {
@@ -235,8 +220,8 @@ void SacAlgorithm::one_update(TrainStats& stats) {
     tgt_logp_.resize(nonterm_idx_.size());
     for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
       const Transition& tr = *batch[nonterm_idx_[k]];
-      head_scratch_.assign(heads.row(k), heads.row(k) + 2 * act_dim_);
-      split_head(head_scratch_, mean_scratch_, log_std_scratch_);
+      split_head(heads.row(k), act_dim_, config_.log_std_min,
+                 config_.log_std_max, mean_scratch_, log_std_scratch_);
       const auto draw =
           nn::SquashedGaussian::sample(mean_scratch_, log_std_scratch_, rng_);
       double* qrow = mb_qin_.row(k);
@@ -306,8 +291,8 @@ void SacAlgorithm::one_update(TrainStats& stats) {
   mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Transition& tr = *batch[i];
-    head_scratch_.assign(heads.row(i), heads.row(i) + 2 * act_dim_);
-    split_head(head_scratch_, means_[i], log_stds_[i]);
+    split_head(heads.row(i), act_dim_, config_.log_std_min,
+               config_.log_std_max, means_[i], log_stds_[i]);
     draws_[i] = nn::SquashedGaussian::sample(means_[i], log_stds_[i], rng_);
     logp_sum += draws_[i].log_prob;
     double* qrow = mb_qin_.row(i);

@@ -63,9 +63,6 @@ class SacAlgorithm final : public Algorithm {
   double q_value(const Vec& obs, const Vec& squashed_action);
 
  private:
-  /// Split an actor head output into mean and softly clamped log-std.
-  void split_head(const Vec& head, Vec& mean, Vec& log_std) const;
-
   void polyak_update();
   void one_update(TrainStats& stats);
 
@@ -94,7 +91,7 @@ class SacAlgorithm final : public Algorithm {
   std::vector<nn::SquashedGaussian::Draw> draws_;
   std::vector<Vec> means_, log_stds_;
   std::vector<double> tgt_logp_;
-  Vec head_scratch_, mean_scratch_, log_std_scratch_;
+  Vec mean_scratch_, log_std_scratch_;
   Vec d_mean_, d_log_std_, grad_action_;
 };
 

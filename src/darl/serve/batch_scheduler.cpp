@@ -67,7 +67,7 @@ BatchScheduler::BatchScheduler(const PolicyStore& store, ServeConfig config)
   DARL_CHECK(version != nullptr,
              "PolicyStore has no published version to serve");
   input_dim_ = version->spec.input_dim();
-  action_dim_ = version->spec.action_dim();
+  action_dim_ = version->spec.action_space.action_dim();
 
   // Instrument resolution happens exactly once, here: the serve/dispatch
   // hot paths only touch the cached pointers. Latency is one histogram
@@ -286,7 +286,8 @@ DARL_KERNEL void BatchScheduler::execute_batch(Worker& worker,
   const Matrix& heads = worker.net->evaluate_batch(worker.obs_mat);
   for (std::size_t i = 0; i < count; ++i) {
     Request* request = worker.batch[i];
-    decode_head(version->spec, heads.row(i), request->out->action);
+    rl::greedy_action(version->spec.head, version->spec.action_space,
+                      heads.row(i), request->out->action.data());
     request->out->version = version->id;
     complete(*request);
   }
@@ -303,7 +304,7 @@ void BatchScheduler::ensure_replica(Worker& worker,
   // Hot-swap contract: every published version keeps the interface the
   // scheduler was built against.
   DARL_ASSERT(version.spec.input_dim() == input_dim_ &&
-                  version.spec.action_dim() == action_dim_,
+                  version.spec.action_space.action_dim() == action_dim_,
               "hot-swapped policy version changed the serving interface");
   if (!worker.net || worker.net->sizes() != version.spec.sizes ||
       worker.net->activation() != version.spec.activation) {

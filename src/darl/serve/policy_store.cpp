@@ -1,8 +1,5 @@
 #include "darl/serve/policy_store.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/obs/metrics.hpp"
@@ -21,14 +18,20 @@ std::size_t mlp_param_count(const std::vector<std::size_t>& sizes) {
   return n;
 }
 
-std::vector<std::size_t> layer_sizes(std::size_t in,
-                                     const std::vector<std::size_t>& hidden,
-                                     std::size_t out) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(in);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(out);
-  return sizes;
+/// Reject a spec whose parameters do not fill its layers or whose head
+/// cannot be decoded from its output layer over its action space.
+void check_servable(const PolicySpec& spec) {
+  DARL_CHECK(spec.sizes.size() >= 2, "policy spec needs {in, ..., out} sizes");
+  DARL_CHECK(spec.net_params.size() == mlp_param_count(spec.sizes),
+             "policy spec has " << spec.net_params.size()
+                                << " parameters, architecture expects "
+                                << mlp_param_count(spec.sizes));
+  const std::size_t width = rl::head_width(spec.head, spec.action_space);
+  DARL_CHECK(spec.sizes.back() == width,
+             "policy output layer is " << spec.sizes.back()
+                                       << " wide, its head decodes " << width
+                                       << " values over "
+                                       << spec.action_space.describe());
 }
 
 std::uint64_t digest_params(const Vec& params) {
@@ -38,19 +41,6 @@ std::uint64_t digest_params(const Vec& params) {
 }
 
 }  // namespace
-
-std::size_t PolicySpec::action_dim() const {
-  switch (decode) {
-    case GreedyDecode::Raw:
-      return sizes.back();
-    case GreedyDecode::ArgmaxDiscrete:
-      return 1;
-    case GreedyDecode::ClipBox:
-    case GreedyDecode::SquashedMeanBox:
-      return action_space.box().dim();
-  }
-  return sizes.back();
-}
 
 PolicySpec policy_spec_from_checkpoint(
     const rl::Checkpoint& checkpoint, const env::ActionSpace& action_space,
@@ -65,39 +55,20 @@ PolicySpec policy_spec_from_checkpoint(
         std::to_string(action_space.action_dim()) + ")");
   }
 
+  const rl::PolicyShape shape = rl::policy_shape(
+      checkpoint.kind, checkpoint.obs_dim, action_space, hidden);
   PolicySpec spec;
+  spec.sizes = shape.sizes;
+  spec.activation = shape.activation;
   spec.action_space = action_space;
-  std::size_t tail = 0;  // non-network trailing parameters (log-std)
-  switch (checkpoint.kind) {
-    case rl::AlgoKind::PPO:
-    case rl::AlgoKind::IMPALA:
-      if (action_space.is_discrete()) {
-        spec.sizes = layer_sizes(checkpoint.obs_dim, hidden,
-                                 action_space.discrete().n());
-        spec.decode = GreedyDecode::ArgmaxDiscrete;
-      } else {
-        spec.sizes =
-            layer_sizes(checkpoint.obs_dim, hidden, action_space.box().dim());
-        spec.decode = GreedyDecode::ClipBox;
-        tail = action_space.box().dim();  // state-independent log-std
-      }
-      break;
-    case rl::AlgoKind::SAC:
-      if (!action_space.is_box()) {
-        throw rl::CheckpointError("SAC checkpoints require a box action space");
-      }
-      spec.sizes = layer_sizes(checkpoint.obs_dim, hidden,
-                               2 * action_space.box().dim());
-      spec.decode = GreedyDecode::SquashedMeanBox;
-      break;
-  }
+  spec.head = shape.head;
 
   const std::size_t net_n = mlp_param_count(spec.sizes);
-  if (checkpoint.params.size() != net_n + tail) {
+  if (checkpoint.params.size() != net_n + shape.tail) {
     throw rl::CheckpointError(
         "checkpoint holds " + std::to_string(checkpoint.params.size()) +
         " parameters but the " + std::string(rl::algo_name(checkpoint.kind)) +
-        " architecture expects " + std::to_string(net_n + tail) +
+        " architecture expects " + std::to_string(net_n + shape.tail) +
         " (wrong --hidden sizes?)");
   }
   spec.net_params.assign(checkpoint.params.begin(),
@@ -106,68 +77,13 @@ PolicySpec policy_spec_from_checkpoint(
   return spec;
 }
 
-void decode_head(const PolicySpec& spec, const double* head, Vec& out) {
-  switch (spec.decode) {
-    case GreedyDecode::Raw: {
-      const std::size_t n = spec.sizes.back();
-      std::copy(head, head + n, out.begin());
-      return;
-    }
-    case GreedyDecode::ArgmaxDiscrete: {
-      // Bitwise replica of the PPO/IMPALA actors' act_greedy: stable
-      // softmax, then the *first* largest probability wins (max_element
-      // semantics). The softmax values are recomputed scalar-by-scalar in
-      // the same order as nn::Categorical::softmax, so rounding ties
-      // resolve identically — without allocating a probability vector.
-      const std::size_t n = spec.action_space.discrete().n();
-      double m = head[0];
-      for (std::size_t i = 1; i < n; ++i) m = std::max(m, head[i]);
-      double z = 0.0;
-      for (std::size_t i = 0; i < n; ++i) z += std::exp(head[i] - m);
-      std::size_t best = 0;
-      double best_p = std::exp(head[0] - m) / z;
-      for (std::size_t i = 1; i < n; ++i) {
-        const double p = std::exp(head[i] - m) / z;
-        if (p > best_p) {
-          best = i;
-          best_p = p;
-        }
-      }
-      out[0] = static_cast<double>(best);
-      return;
-    }
-    case GreedyDecode::ClipBox: {
-      const env::BoxSpace& box = spec.action_space.box();
-      for (std::size_t i = 0; i < box.dim(); ++i) {
-        out[i] = std::clamp(head[i], box.low()[i], box.high()[i]);
-      }
-      return;
-    }
-    case GreedyDecode::SquashedMeanBox: {
-      // Same math as the SAC actor: tanh of the mean half of the head,
-      // affinely scaled from [-1, 1] into the box.
-      const env::BoxSpace& box = spec.action_space.box();
-      for (std::size_t i = 0; i < box.dim(); ++i) {
-        const double squashed = std::tanh(head[i]);
-        out[i] = box.low()[i] +
-                 0.5 * (squashed + 1.0) * (box.high()[i] - box.low()[i]);
-      }
-      return;
-    }
-  }
-}
-
 std::uint64_t PolicyStore::publish(PolicySpec spec) {
   return publish(std::string(), std::move(spec));
 }
 
 std::uint64_t PolicyStore::publish(const std::string& tenant_name,
                                    PolicySpec spec) {
-  DARL_CHECK(spec.sizes.size() >= 2, "policy spec needs {in, ..., out} sizes");
-  DARL_CHECK(spec.net_params.size() == mlp_param_count(spec.sizes),
-             "policy spec has " << spec.net_params.size()
-                                << " parameters, architecture expects "
-                                << mlp_param_count(spec.sizes));
+  check_servable(spec);
   DARL_SPAN("serve.publish");
   auto version = std::make_unique<PolicyVersion>();
   version->spec = std::move(spec);
@@ -235,16 +151,18 @@ std::uint64_t PolicyStore::version_count(
 
 DirectPolicy::DirectPolicy(const PolicySpec& spec)
     : spec_(spec), net_([&] {
+        check_servable(spec);
         Rng init(0);
         return nn::Mlp(spec.sizes, spec.activation, init);
       }()) {
   net_.set_flat_params(spec_.net_params);
-  action_.assign(spec_.action_dim(), 0.0);
+  action_.assign(spec_.action_space.action_dim(), 0.0);
 }
 
 Vec DirectPolicy::act(const Vec& obs) {
   const Vec head = net_.evaluate(obs);
-  decode_head(spec_, head.data(), action_);
+  rl::greedy_action(spec_.head, spec_.action_space, head.data(),
+                    action_.data());
   return action_;
 }
 

@@ -15,10 +15,11 @@
 // keep working unchanged. Version ids are monotonic *per tenant* (first
 // publish = 1): hot-swapping tenant A never advances tenant B's ids.
 //
-// A version is *data only* (network shape + flat parameters + greedy
-// decode recipe): nn::Mlp instances are not safe for concurrent
-// evaluation, so each scheduler worker materializes its own Mlp replica
-// from the spec and refreshes it when the version id changes.
+// A version is *data only* (network shape + flat parameters + head kind,
+// decoded by rl::greedy_action like the trained actor): nn::Mlp instances
+// are not safe for concurrent evaluation, so each scheduler worker
+// materializes its own Mlp replica from the spec and refreshes it when the
+// version id changes.
 
 #pragma once
 
@@ -34,47 +35,33 @@
 #include "darl/env/space.hpp"
 #include "darl/nn/mlp.hpp"
 #include "darl/rl/checkpoint.hpp"
+#include "darl/rl/policy.hpp"
 
 namespace darl::serve {
 
-/// How a policy-head row is turned into a greedy action (env encoding).
-/// Each recipe replicates the corresponding actor's act_greedy() math
-/// exactly, so a served action is bitwise-identical to the training-side
-/// greedy decision for the same head.
-enum class GreedyDecode {
-  Raw,              ///< action = head (no action space involved)
-  ArgmaxDiscrete,   ///< softmax argmax, encoded (PPO/IMPALA discrete)
-  ClipBox,          ///< box-clipped head (PPO/IMPALA continuous)
-  SquashedMeanBox,  ///< tanh(mean half), scaled into the box (SAC)
-};
-
 /// Everything needed to serve one policy: the Mlp architecture, its flat
-/// parameters, and the decode recipe. Immutable once published.
+/// parameters, and how its head is decoded. Immutable once published.
 struct PolicySpec {
   std::vector<std::size_t> sizes;  ///< Mlp layer sizes {in, hidden..., out}
   nn::Activation activation = nn::Activation::Tanh;
   Vec net_params;                  ///< flat Mlp parameters (no extras)
-  env::ActionSpace action_space;   ///< unused for GreedyDecode::Raw
-  GreedyDecode decode = GreedyDecode::Raw;
+  env::ActionSpace action_space;
+  rl::PolicyHead head = rl::PolicyHead::Categorical;
 
   std::size_t input_dim() const { return sizes.front(); }
-  /// Dimension of a served action vector.
-  std::size_t action_dim() const;
 };
 
-/// Build a servable spec from a saved checkpoint. `hidden` must match the
-/// architecture the checkpoint was trained with (the algorithms' default
-/// is {64, 64}); a parameter-count mismatch raises rl::CheckpointError.
-/// For PPO/IMPALA continuous policies the state-independent log-std tail
-/// is split off (greedy decoding never reads it); SAC's mean/log-std head
-/// split is handled by the decode recipe instead.
+/// Build a servable spec from a saved checkpoint: sizes, activation and
+/// head come from rl::policy_shape, so serving runs the network the
+/// checkpoint's learner trained. `hidden` must match the architecture the
+/// checkpoint was trained with (the algorithms' default is {64, 64}); a
+/// parameter-count mismatch raises rl::CheckpointError, an action space
+/// the checkpoint's policy cannot act in raises InvalidArgument. The
+/// PPO/IMPALA Gaussian log-std tail is split off (greedy decoding never
+/// reads it).
 PolicySpec policy_spec_from_checkpoint(
     const rl::Checkpoint& checkpoint, const env::ActionSpace& action_space,
     const std::vector<std::size_t>& hidden = {64, 64});
-
-/// Greedy-decode one head row into `out` (pre-sized to spec.action_dim()).
-/// Deterministic per-element math — no allocation, no rng.
-void decode_head(const PolicySpec& spec, const double* head, Vec& out);
 
 /// One published policy. Immutable; identified by a monotonically
 /// increasing id (first publish = 1).
@@ -129,6 +116,9 @@ class PolicyStore {
 
   /// Publish a new version for the unnamed tenant; returns its id. The
   /// new version becomes visible to current() before publish() returns.
+  /// Throws InvalidArgument unless the parameters fill `sizes` and the
+  /// head can decode over the action space at the width of the output
+  /// layer.
   std::uint64_t publish(PolicySpec spec);
 
   /// Publish a new version for a named tenant (created on first publish).
@@ -174,11 +164,12 @@ class PolicyStore {
 };
 
 /// Reference single-observation inference path: per-sample Mlp::evaluate
-/// plus greedy decode, with no batching anywhere. Tests, the CLI
+/// plus rl::greedy_action, with no batching anywhere. Tests, the CLI
 /// self-check and the deploy example compare served actions against this
 /// bitwise. Not thread-safe (owns one Mlp workspace); make one per thread.
 class DirectPolicy {
  public:
+  /// Validates `spec` as PolicyStore::publish does.
   explicit DirectPolicy(const PolicySpec& spec);
 
   /// Greedy action for one observation.

@@ -293,8 +293,6 @@ TEST(SquashedGaussian, ActionsInsideUnitBox) {
     }
     EXPECT_TRUE(std::isfinite(d.log_prob));
   }
-  const Vec m = SquashedGaussian::mode({0.7});
-  EXPECT_NEAR(m[0], std::tanh(0.7), 1e-12);
 }
 
 TEST(SquashedGaussian, LogProbConsistentWithDraw) {

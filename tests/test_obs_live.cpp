@@ -111,7 +111,7 @@ PolicySpec make_spec(std::uint64_t seed) {
   nn::Mlp net(spec.sizes, spec.activation, rng);
   spec.net_params = net.get_flat_params();
   spec.action_space = env::ActionSpace(env::DiscreteSpace(3));
-  spec.decode = GreedyDecode::ArgmaxDiscrete;
+  spec.head = rl::PolicyHead::Categorical;
   return spec;
 }
 

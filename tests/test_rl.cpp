@@ -16,6 +16,7 @@
 #include "darl/rl/factory.hpp"
 #include "darl/rl/gae.hpp"
 #include "darl/rl/impala.hpp"
+#include "darl/rl/policy.hpp"
 #include "darl/rl/replay_buffer.hpp"
 
 namespace darl::rl {
@@ -186,9 +187,10 @@ TEST(Impala, BuildsActsAndTrains) {
   EXPECT_TRUE(changed);
 }
 
-// IMPALA rolls out through the PPO actor: a PPO actor loaded with IMPALA's
-// policy parameters draws the same actions with the same log-probabilities
-// on the same stream, for the categorical and the Gaussian head.
+// IMPALA and PPO act through the one ActorCritic actor: a PPO actor loaded
+// with IMPALA's policy parameters draws the same actions with the same
+// log-probabilities on the same stream, for the categorical and the
+// Gaussian head.
 TEST(Impala, ActorMatchesPpoActorOnSharedParams) {
   for (const env::ActionSpace& space :
        {env::ActionSpace(env::DiscreteSpace(3)),
@@ -319,6 +321,40 @@ TEST(SacActor, ActionsInsideBox) {
   const Vec g = actor->act_greedy({0.1, 0.2, 0.3});
   EXPECT_GE(g[0], -2.0);
   EXPECT_LE(g[0], 2.0);
+}
+
+// policy_shape and greedy_action are the one definition of each learner's
+// policy network and greedy decode; the actors and darl/serve share them.
+TEST(Policy, ShapeAndGreedyActionPerHead) {
+  const env::ActionSpace discrete(env::DiscreteSpace(3));
+  const env::ActionSpace box(env::BoxSpace(2, -0.5, 4.0));
+  const PolicyShape ppo = policy_shape(AlgoKind::PPO, 5, discrete, {8});
+  EXPECT_EQ(ppo.sizes, (std::vector<std::size_t>{5, 8, 3}));
+  EXPECT_EQ(ppo.activation, nn::Activation::Tanh);
+  EXPECT_EQ(ppo.head, PolicyHead::Categorical);
+  EXPECT_EQ(ppo.tail, 0u);
+  const PolicyShape impala = policy_shape(AlgoKind::IMPALA, 5, box, {8});
+  EXPECT_EQ(impala.sizes, (std::vector<std::size_t>{5, 8, 2}));
+  EXPECT_EQ(impala.activation, nn::Activation::Tanh);
+  EXPECT_EQ(impala.head, PolicyHead::Gaussian);
+  EXPECT_EQ(impala.tail, 2u);
+  const PolicyShape sac = policy_shape(AlgoKind::SAC, 5, box, {8});
+  EXPECT_EQ(sac.sizes, (std::vector<std::size_t>{5, 8, 4}));
+  EXPECT_EQ(sac.activation, nn::Activation::ReLU);
+  EXPECT_EQ(sac.head, PolicyHead::SquashedGaussian);
+  EXPECT_EQ(sac.tail, 0u);
+  EXPECT_THROW(policy_shape(AlgoKind::SAC, 5, discrete, {8}), InvalidArgument);
+
+  Vec out(2);
+  const double logits[] = {0.1, 0.7, 0.7};  // the first of two maxima wins
+  greedy_action(PolicyHead::Categorical, discrete, logits, out.data());
+  EXPECT_EQ(out[0], 1.0);
+  const double head[] = {-2.0, 0.25, 9.0, 9.0};
+  greedy_action(PolicyHead::Gaussian, box, head, out.data());
+  EXPECT_EQ(out, (Vec{-0.5, 0.25}));
+  greedy_action(PolicyHead::SquashedGaussian, box, head, out.data());
+  EXPECT_DOUBLE_EQ(out[0], -0.5 + 0.5 * (std::tanh(-2.0) + 1.0) * 4.5);
+  EXPECT_DOUBLE_EQ(out[1], -0.5 + 0.5 * (std::tanh(0.25) + 1.0) * 4.5);
 }
 
 TEST(PpoTrain, RunsAndReportsStats) {

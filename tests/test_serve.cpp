@@ -39,7 +39,7 @@ PolicySpec make_discrete_spec(std::uint64_t seed) {
   nn::Mlp net(spec.sizes, spec.activation, rng);
   spec.net_params = net.get_flat_params();
   spec.action_space = env::ActionSpace(env::DiscreteSpace(3));
-  spec.decode = GreedyDecode::ArgmaxDiscrete;
+  spec.head = rl::PolicyHead::Categorical;
   return spec;
 }
 
@@ -52,7 +52,7 @@ PolicySpec make_box_spec(std::uint64_t seed) {
   nn::Mlp net(spec.sizes, spec.activation, rng);
   spec.net_params = net.get_flat_params();
   spec.action_space = env::ActionSpace(env::BoxSpace(2, -1.5, 2.0));
-  spec.decode = GreedyDecode::SquashedMeanBox;
+  spec.head = rl::PolicyHead::SquashedGaussian;
   return spec;
 }
 
@@ -113,6 +113,31 @@ TEST(PolicyStore, RejectsParamCountMismatch) {
   EXPECT_THROW(store.publish(std::move(spec)), Error);
 }
 
+// An output layer narrower than its head's decode would be read past its
+// end: the squashed-Gaussian head reads mean ‖ log-std, 4 values for a
+// 2-dim box, from a 1-wide layer.
+TEST(PolicyStore, RejectsOutputLayerNarrowerThanItsHead) {
+  PolicySpec spec = make_box_spec(4);
+  spec.sizes = {4, 16, 1};
+  Rng rng(4);
+  spec.net_params = nn::Mlp(spec.sizes, spec.activation, rng).get_flat_params();
+  PolicyStore store;
+  EXPECT_THROW(store.publish(spec), InvalidArgument);
+  EXPECT_EQ(store.current(), nullptr);
+  EXPECT_THROW(DirectPolicy{spec}, InvalidArgument);
+}
+
+// A categorical head cannot decode into a box: the scheduler would build
+// and then throw inside its worker thread on the first request.
+TEST(PolicyStore, RejectsHeadThatCannotActInTheActionSpace) {
+  PolicySpec spec = make_discrete_spec(5);  // 3-wide output layer
+  spec.action_space = env::ActionSpace(env::BoxSpace(3, -1.0, 1.0));
+  PolicyStore store;
+  EXPECT_THROW(store.publish(spec), InvalidArgument);
+  EXPECT_EQ(store.current(), nullptr);
+  EXPECT_THROW(DirectPolicy{spec}, InvalidArgument);
+}
+
 TEST(PolicySpec, FromCheckpointMatchesAlgorithmArchitectures) {
   // PPO discrete: all parameters are network parameters.
   rl::AlgorithmSpec algo_spec;
@@ -126,9 +151,10 @@ TEST(PolicySpec, FromCheckpointMatchesAlgorithmArchitectures) {
   ck.params = ppo->policy_params();
   const PolicySpec ppo_spec = policy_spec_from_checkpoint(ck, discrete);
   EXPECT_EQ(ppo_spec.sizes, (std::vector<std::size_t>{4, 64, 64, 2}));
-  EXPECT_EQ(ppo_spec.decode, GreedyDecode::ArgmaxDiscrete);
+  EXPECT_EQ(ppo_spec.activation, nn::Activation::Tanh);
+  EXPECT_EQ(ppo_spec.head, rl::PolicyHead::Categorical);
   EXPECT_EQ(ppo_spec.net_params.size(), ck.params.size());
-  EXPECT_EQ(ppo_spec.action_dim(), 1u);
+  EXPECT_EQ(ppo_spec.action_space.action_dim(), 1u);
 
   // PPO continuous: the state-independent log-std tail is split off.
   const env::ActionSpace box(env::BoxSpace(2, -1.0, 1.0));
@@ -139,7 +165,7 @@ TEST(PolicySpec, FromCheckpointMatchesAlgorithmArchitectures) {
   ck_box.action_dim = 2;
   ck_box.params = ppo_box->policy_params();
   const PolicySpec box_spec = policy_spec_from_checkpoint(ck_box, box);
-  EXPECT_EQ(box_spec.decode, GreedyDecode::ClipBox);
+  EXPECT_EQ(box_spec.head, rl::PolicyHead::Gaussian);
   EXPECT_EQ(box_spec.net_params.size() + 2, ck_box.params.size());
 
   // SAC: twin-headed actor, no tail.
@@ -153,7 +179,8 @@ TEST(PolicySpec, FromCheckpointMatchesAlgorithmArchitectures) {
   ck_sac.params = sac->policy_params();
   const PolicySpec sac_policy = policy_spec_from_checkpoint(ck_sac, box);
   EXPECT_EQ(sac_policy.sizes.back(), 4u);
-  EXPECT_EQ(sac_policy.decode, GreedyDecode::SquashedMeanBox);
+  EXPECT_EQ(sac_policy.activation, nn::Activation::ReLU);
+  EXPECT_EQ(sac_policy.head, rl::PolicyHead::SquashedGaussian);
 
   // Architecture mismatch is a typed checkpoint error.
   EXPECT_THROW(policy_spec_from_checkpoint(ck, discrete, {32}),
@@ -241,6 +268,57 @@ TEST(Serve, BitwiseMatchesDirectContinuousDecode) {
     ASSERT_EQ(response.outcome, Outcome::Ok);
     ASSERT_EQ(response.action.size(), 2u);
     EXPECT_TRUE(bitwise_equal(response.action, direct.act(obs)));
+  }
+}
+
+// A learner's policy snapshot, published as a checkpoint, is served as
+// the learner's own actor decides greedily: the served == trained contract
+// for every head a learner trains (DESIGN.md §12).
+TEST(Serve, ServesEachLearnersGreedyActionBitwise) {
+  const struct {
+    rl::AlgoKind kind;
+    bool discrete;
+  } learners[] = {
+      {rl::AlgoKind::PPO, true},    {rl::AlgoKind::PPO, false},
+      {rl::AlgoKind::IMPALA, true}, {rl::AlgoKind::IMPALA, false},
+      {rl::AlgoKind::SAC, false},
+  };
+  for (const auto& [kind, discrete] : learners) {
+    // A narrow, off-centre box, so that clipping and scaling both matter.
+    const env::ActionSpace space =
+        discrete ? env::ActionSpace(env::DiscreteSpace(3))
+                 : env::ActionSpace(env::BoxSpace(2, -0.25, 0.5));
+    SCOPED_TRACE(std::string(rl::algo_name(kind)) + " over " +
+                 space.describe());
+    rl::AlgorithmSpec algo_spec;
+    algo_spec.kind = kind;
+    auto algo = rl::make_algorithm(algo_spec, 4, space, 17);
+    rl::Checkpoint ck;
+    ck.kind = kind;
+    ck.obs_dim = 4;
+    ck.action_dim = space.action_dim();
+    ck.params = algo->policy_params();
+
+    PolicyStore store;
+    store.publish_checkpoint(ck, space);
+    auto trained = algo->make_actor();
+    trained->set_params(ck.params);
+    DirectPolicy direct(store.current()->spec);
+    BatchScheduler server(store, ServeConfig{});
+
+    Rng rng(23);
+    std::size_t direct_mismatches = 0, served_mismatches = 0;
+    for (int r = 0; r < 128; ++r) {
+      Vec obs(4);
+      for (double& v : obs) v = rng.uniform(-3.0, 3.0);
+      const Vec want = trained->act_greedy(obs);
+      const Response response = server.serve(obs);
+      ASSERT_EQ(response.outcome, Outcome::Ok);
+      if (!bitwise_equal(response.action, want)) ++served_mismatches;
+      if (!bitwise_equal(direct.act(obs), want)) ++direct_mismatches;
+    }
+    EXPECT_EQ(served_mismatches, 0u);
+    EXPECT_EQ(direct_mismatches, 0u);
   }
 }
 
