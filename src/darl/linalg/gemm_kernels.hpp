@@ -1,13 +1,13 @@
 // darl/linalg/gemm_kernels.hpp
 //
 // PRIVATE to darl_linalg: the three instantiations of the register-blocked
-// GEMM micro-kernel behind Matrix::gemm (DESIGN.md §16). Only matrix.cpp
-// and tests/test_linalg.cpp include this header — the tests call every
-// instantiation directly, so the 4-wide path keeps its bits checked on a
-// host whose CPUID selects the 8-wide one. No other module may include it;
-// everything else goes through Matrix::gemm, which picks the instantiation
-// itself (CPUID for the strict width, fast_math_active() for the fused
-// tier).
+// GEMM micro-kernel behind Matrix::gemm (DESIGN.md §16), and the small-NT
+// dot kernel. Only matrix.cpp and tests/test_linalg.cpp include this
+// header — the tests call every kernel directly, so the 4-wide path keeps
+// its bits checked on a host whose CPUID selects the 8-wide one. No other
+// module may include it; everything else goes through Matrix::gemm or
+// Matrix::gemm_overwrite, which pick the kernel themselves (CPUID for the
+// strict width, fast_math_active() for the fused tier).
 
 #pragma once
 
@@ -26,6 +26,11 @@ namespace darl::linalg {
 /// four flavours (NT and TT with B^T packed) share one loop nest; B is
 /// row-major k x n with row stride b_stride; C row r starts at
 /// c + r * c_stride.
+///
+/// With `overwrite` set the product is C = alpha * op(A) * B instead: the
+/// first K-panel starts every element's chain from +0.0 in a register and
+/// never reads C, which gives the bits of fill(0.0) followed by the
+/// accumulating product (+0.0 is what that load would return).
 struct GemmOperands {
   double alpha = 1.0;
   const double* a = nullptr;
@@ -38,6 +43,7 @@ struct GemmOperands {
   std::size_t m = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  bool overwrite = false;
 };
 
 /// Computes every C row of one product.
@@ -56,6 +62,11 @@ void gemm_rows_v8(const GemmOperands& g);
 /// a fused multiply-add. Call only when cpu_has_avx2_fma().
 void gemm_rows_fused(const GemmOperands& g);
 #endif
+
+/// The small-NT dot kernel (C rows below the packing cutoff): reads B
+/// itself, n x k with row stride b_stride, instead of a packed B^T; op(A)
+/// must have a_t_stride 1. Same per-element chain as the micro-kernel.
+void gemm_nt_small(const GemmOperands& g);
 
 /// CPUID: whether gemm_rows_v8 / gemm_rows_fused may run on this host
 /// (always false off x86).

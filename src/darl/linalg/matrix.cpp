@@ -51,7 +51,8 @@ namespace {
 //
 // Every kernel below accumulates each C element over the contraction index
 // t in ascending order with a scalar chain seeded from the C value already
-// in memory. K-panel boundaries re-seed the chain from C between panels —
+// in memory (or, in overwrite mode, from +0.0 in a register for the first
+// panel). K-panel boundaries re-seed the chain from C between panels —
 // the same additions in the same order, just interleaved with other rows —
 // so blocking, packing and the vector width are all bitwise-neutral. Only
 // the opt-in fast-math tier (fused multiply-add) rounds differently, and
@@ -70,7 +71,8 @@ constexpr std::size_t kPanelK = 64;
 constexpr std::size_t kBlockRows = 4;
 
 /// NT output rows below which packing op(B) costs more than the
-/// micro-kernel saves; small shapes use the dot-product kernel nt_small.
+/// micro-kernel saves; small shapes use the dot-product kernel
+/// gemm_nt_small.
 constexpr std::size_t kNtPackMinRows = 8;
 
 /// Fast-math tier switch. Enabled only when DARL_FAST_MATH=1 AND the CPU
@@ -151,17 +153,21 @@ template <class R>
 
 /// The register block: R rows x NV vectors of C stay in registers across
 /// one K-panel of kt terms. ap holds the panel's pre-scaled op(A) values
-/// (ap[i * kPanelK + t] = alpha * a_it), b the panel's first B row. Lanes
-/// are independent, so every element's chain is exactly the scalar one.
+/// (ap[i * kPanelK + t] = alpha * a_it), b the panel's first B row. The
+/// chains start from C, or from +0.0 without reading C when zero_seed is
+/// set. Lanes are independent, so every element's chain is exactly the
+/// scalar one.
 template <class V, std::size_t R, std::size_t NV>
 DARL_KERNEL [[gnu::always_inline]] inline void micro_block(
     const double* ap, std::size_t kt, const double* b, std::size_t ldb,
-    double* c, std::size_t ldc) {
+    bool zero_seed, double* c, std::size_t ldc) {
   using reg = typename V::reg;
   constexpr std::size_t W = V::kWidth;
   reg acc[R][NV] = {};
-  for (std::size_t i = 0; i < R; ++i)
-    for (std::size_t v = 0; v < NV; ++v) load_vec(acc[i][v], c + i * ldc + v * W);
+  if (!zero_seed) {
+    for (std::size_t i = 0; i < R; ++i)
+      for (std::size_t v = 0; v < NV; ++v) load_vec(acc[i][v], c + i * ldc + v * W);
+  }
   for (std::size_t t = 0; t < kt; ++t) {
     reg bt[NV] = {};
     for (std::size_t v = 0; v < NV; ++v) load_vec(bt[v], b + t * ldb + v * W);
@@ -177,7 +183,8 @@ DARL_KERNEL [[gnu::always_inline]] inline void micro_block(
 /// One K-panel as the row blocks see it: ap holds the block's pre-scaled
 /// op(A) values, b the panel's first B row (row stride ldb); the last rem
 /// < 2W columns come from btail, a zero-padded copy of B's tail columns
-/// with row stride tail_w (one or two vectors).
+/// with row stride tail_w (one or two vectors). zero_seed: the chains
+/// start from +0.0 instead of C (the first panel of an overwrite).
 struct Panel {
   const double* ap = nullptr;
   std::size_t kt = 0;
@@ -187,6 +194,7 @@ struct Panel {
   const double* btail = nullptr;
   std::size_t rem = 0;
   std::size_t tail_w = 0;
+  bool zero_seed = false;
 };
 
 /// R rows of C: two-vector blocks over the first n_full columns, then the
@@ -198,26 +206,30 @@ DARL_KERNEL [[gnu::always_inline]] inline void micro_rows(const Panel& p,
                                                           std::size_t ldc) {
   constexpr std::size_t W = V::kWidth;
   for (std::size_t j = 0; j < p.n_full; j += 2 * W)
-    micro_block<V, R, 2>(p.ap, p.kt, p.b + j, p.ldb, c + j, ldc);
+    micro_block<V, R, 2>(p.ap, p.kt, p.b + j, p.ldb, p.zero_seed, c + j, ldc);
   if (p.rem == 0) return;
   // The tail is narrow, so it is copied column by column: a loop along a
-  // row would compile to a library memcpy call per row.
+  // row would compile to a library memcpy call per row. A zero-seeded
+  // panel reads no C, so it copies nothing in.
   const std::size_t tw = p.tail_w;
   double* ct = c + p.n_full;
   double ctail[R * 2 * W] = {};
-  for (std::size_t j = 0; j < p.rem; ++j)
-    for (std::size_t i = 0; i < R; ++i) ctail[i * tw + j] = ct[i * ldc + j];
+  if (!p.zero_seed) {
+    for (std::size_t j = 0; j < p.rem; ++j)
+      for (std::size_t i = 0; i < R; ++i) ctail[i * tw + j] = ct[i * ldc + j];
+  }
   if (tw > W) {
-    micro_block<V, R, 2>(p.ap, p.kt, p.btail, tw, ctail, tw);
+    micro_block<V, R, 2>(p.ap, p.kt, p.btail, tw, p.zero_seed, ctail, tw);
   } else {
-    micro_block<V, R, 1>(p.ap, p.kt, p.btail, tw, ctail, tw);
+    micro_block<V, R, 1>(p.ap, p.kt, p.btail, tw, p.zero_seed, ctail, tw);
   }
   for (std::size_t j = 0; j < p.rem; ++j)
     for (std::size_t i = 0; i < R; ++i) ct[i * ldc + j] = ctail[i * tw + j];
 }
 
-/// The loop nest: C += alpha * op(A) * B. K-panel outermost, so one panel
-/// of B stays hot across all C rows.
+/// The loop nest: C += alpha * op(A) * B (C = ... in overwrite mode, whose
+/// first panel seeds from +0.0). K-panel outermost, so one panel of B
+/// stays hot across all C rows.
 /// Per panel, B's tail columns are copied once into a zero-padded buffer;
 /// per panel and block of kBlockRows rows, alpha * a_it is computed once
 /// (the rounding every term uses), then the block's chains run over the
@@ -241,6 +253,7 @@ DARL_KERNEL [[gnu::always_inline]] inline void micro_gemm(
   for (std::size_t t0 = 0; t0 < g.k; t0 += kPanelK) {
     p.kt = std::min(kPanelK, g.k - t0);
     p.b = g.b + t0 * g.b_stride;
+    p.zero_seed = g.overwrite && t0 == 0;
     if (p.rem != 0) {  // column by column, as in micro_rows
       std::fill_n(btail, p.kt * p.tail_w, 0.0);
       for (std::size_t j = 0; j < p.rem; ++j) {
@@ -273,50 +286,6 @@ DARL_KERNEL [[gnu::always_inline]] inline void micro_gemm(
   }
 }
 
-/// Register-blocked dot-product NT kernel for small outputs (m below
-/// kNtPackMinRows): four C columns share one ascending-t pass, each with
-/// its own scalar chain. This is the PR-4 kernel shape; packing would cost
-/// as much as the whole product at these sizes. Always scalar — the
-/// fast-math tier only covers the blocked shapes.
-DARL_KERNEL void nt_small(double alpha, const double* a_base,
-                          std::size_t a_stride, const double* b_base,
-                          std::size_t b_stride, std::size_t m, std::size_t n,
-                          std::size_t k, double* c_base,
-                          std::size_t c_stride) {
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* pa = a_base + r * a_stride;
-    double* crow = c_base + r * c_stride;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* pb0 = b_base + (j + 0) * b_stride;
-      const double* pb1 = b_base + (j + 1) * b_stride;
-      const double* pb2 = b_base + (j + 2) * b_stride;
-      const double* pb3 = b_base + (j + 3) * b_stride;
-      double acc0 = crow[j + 0];
-      double acc1 = crow[j + 1];
-      double acc2 = crow[j + 2];
-      double acc3 = crow[j + 3];
-      for (std::size_t t = 0; t < k; ++t) {
-        const double av = alpha * pa[t];
-        acc0 += av * pb0[t];
-        acc1 += av * pb1[t];
-        acc2 += av * pb2[t];
-        acc3 += av * pb3[t];
-      }
-      crow[j + 0] = acc0;
-      crow[j + 1] = acc1;
-      crow[j + 2] = acc2;
-      crow[j + 3] = acc3;
-    }
-    for (; j < n; ++j) {
-      const double* pb = b_base + j * b_stride;
-      double acc = crow[j];
-      for (std::size_t t = 0; t < k; ++t) acc += (alpha * pa[t]) * pb[t];
-      crow[j] = acc;
-    }
-  }
-}
-
 /// The instantiation for the current call: the fused one when the
 /// fast-math tier is on, else the widest strict one CPUID allows (chosen
 /// once per process).
@@ -334,6 +303,48 @@ linalg::GemmRowsFn rows_kernel() {
 }  // namespace
 
 namespace linalg {
+
+/// Register-blocked dot-product NT kernel for small outputs (m below
+/// kNtPackMinRows): four C columns share one ascending-t pass, each with
+/// its own scalar chain, started from C or, in overwrite mode, from +0.0.
+/// Packing would cost as much as the whole product at these sizes. Always
+/// scalar — the fast-math tier only covers the blocked shapes.
+DARL_KERNEL void gemm_nt_small(const GemmOperands& g) {
+  const double alpha = g.alpha;
+  const std::size_t k = g.k;
+  for (std::size_t r = 0; r < g.m; ++r) {
+    const double* pa = g.a + r * g.a_row_stride;
+    double* crow = g.c + r * g.c_stride;
+    std::size_t j = 0;
+    for (; j + 4 <= g.n; j += 4) {
+      const double* pb0 = g.b + (j + 0) * g.b_stride;
+      const double* pb1 = g.b + (j + 1) * g.b_stride;
+      const double* pb2 = g.b + (j + 2) * g.b_stride;
+      const double* pb3 = g.b + (j + 3) * g.b_stride;
+      double acc0 = g.overwrite ? 0.0 : crow[j + 0];
+      double acc1 = g.overwrite ? 0.0 : crow[j + 1];
+      double acc2 = g.overwrite ? 0.0 : crow[j + 2];
+      double acc3 = g.overwrite ? 0.0 : crow[j + 3];
+      for (std::size_t t = 0; t < k; ++t) {
+        const double av = alpha * pa[t];
+        acc0 += av * pb0[t];
+        acc1 += av * pb1[t];
+        acc2 += av * pb2[t];
+        acc3 += av * pb3[t];
+      }
+      crow[j + 0] = acc0;
+      crow[j + 1] = acc1;
+      crow[j + 2] = acc2;
+      crow[j + 3] = acc3;
+    }
+    for (; j < g.n; ++j) {
+      const double* pb = g.b + j * g.b_stride;
+      double acc = g.overwrite ? 0.0 : crow[j];
+      for (std::size_t t = 0; t < k; ++t) acc += (alpha * pa[t]) * pb[t];
+      crow[j] = acc;
+    }
+  }
+}
 
 DARL_KERNEL void gemm_rows_v4(const GemmOperands& g) {
   micro_gemm<StrictVec<4>>(g);
@@ -379,52 +390,67 @@ bool fast_math_active() {
   return g_fast_math.load(std::memory_order_relaxed);
 }
 
-DARL_KERNEL void Matrix::gemm(double alpha, const Matrix& a, bool trans_a,
-                              const Matrix& b, bool trans_b, Matrix& c) {
-  const std::size_t m = trans_a ? a.cols_ : a.rows_;
-  const std::size_t kdim = trans_a ? a.rows_ : a.cols_;
-  const std::size_t n = trans_b ? b.rows_ : b.cols_;
-  const std::size_t bk = trans_b ? b.cols_ : b.rows_;
+namespace {
+
+/// The one path behind Matrix::gemm and Matrix::gemm_overwrite: checks
+/// the shapes, then runs gemm_nt_small or the CPUID-picked micro-kernel.
+DARL_KERNEL void run_gemm(double alpha, const Matrix& a, bool trans_a,
+                          const Matrix& b, bool trans_b, Matrix& c,
+                          bool overwrite) {
+  const std::size_t m = trans_a ? a.cols() : a.rows();
+  const std::size_t kdim = trans_a ? a.rows() : a.cols();
+  const std::size_t n = trans_b ? b.rows() : b.cols();
+  const std::size_t bk = trans_b ? b.cols() : b.rows();
   DARL_CHECK(kdim == bk, "gemm inner-dimension mismatch: op(A) is "
                              << m << "x" << kdim << ", op(B) is " << bk << "x"
                              << n);
-  DARL_CHECK(c.rows_ == m && c.cols_ == n,
-             "gemm output shape mismatch: C is " << c.rows_ << "x" << c.cols_
+  DARL_CHECK(c.rows() == m && c.cols() == n,
+             "gemm output shape mismatch: C is " << c.rows() << "x" << c.cols()
                                                  << ", expected " << m << "x"
                                                  << n);
-  const double* a_base = a.data_.data();
-  const double* b_base = b.data_.data();
-  double* c_base = c.data_.data();
-  if (!trans_a && trans_b && m < kNtPackMinRows) {
-    // Small NT (batch 1-7 serving): packing op(B) would cost as much as
-    // the product; the dot-product kernel reads B^T in place.
-    nt_small(alpha, a_base, a.cols_, b_base, b.cols_, m, n, kdim, c_base,
-             c.cols_);
-    return;
-  }
-  // Every other flavour runs the micro-kernel over a row-major B: op(A)
-  // is read through (row stride, t stride) — (lda, 1) for A, (1, lda) for
-  // A^T — and the NT and TT flavours first pack B^T into a k x n buffer
-  // (layout only, no arithmetic).
+  // op(A) is read through (row stride, t stride) — (lda, 1) for A, (1,
+  // lda) for A^T.
   linalg::GemmOperands g;
   g.alpha = alpha;
-  g.a = a_base;
-  g.a_row_stride = trans_a ? 1 : a.cols_;
-  g.a_t_stride = trans_a ? a.cols_ : 1;
-  g.b = b_base;
-  g.b_stride = b.cols_;
-  g.c = c_base;
-  g.c_stride = c.cols_;
+  g.a = a.data().data();
+  g.a_row_stride = trans_a ? 1 : a.cols();
+  g.a_t_stride = trans_a ? a.cols() : 1;
+  g.b = b.data().data();
+  g.b_stride = b.cols();
+  g.c = c.data().data();
+  g.c_stride = c.cols();
   g.m = m;
   g.n = n;
   g.k = kdim;
+  g.overwrite = overwrite;
+  if (!trans_a && trans_b && m < kNtPackMinRows) {
+    // Small NT (batch 1-7 serving): packing op(B) would cost as much as
+    // the product; the dot-product kernel reads B^T in place.
+    linalg::gemm_nt_small(g);
+    return;
+  }
+  // Every other flavour runs the micro-kernel over a row-major B: the NT
+  // and TT flavours first pack B^T into a k x n buffer (layout only, no
+  // arithmetic).
   if (trans_b) {
     double* pack = pack_workspace(kdim * n);
-    pack_b_transposed(b_base, b.cols_, n, kdim, pack);
+    pack_b_transposed(g.b, b.cols(), n, kdim, pack);
     g.b = pack;
     g.b_stride = n;
   }
   rows_kernel()(g);
+}
+
+}  // namespace
+
+void Matrix::gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
+                  bool trans_b, Matrix& c) {
+  run_gemm(alpha, a, trans_a, b, trans_b, c, false);
+}
+
+void Matrix::gemm_overwrite(double alpha, const Matrix& a, bool trans_a,
+                            const Matrix& b, bool trans_b, Matrix& c) {
+  run_gemm(alpha, a, trans_a, b, trans_b, c, true);
 }
 
 Matrix Matrix::transposed() const {
@@ -438,23 +464,6 @@ void Matrix::randomize_kaiming(Rng& rng, double gain) {
   DARL_CHECK(gain > 0.0, "non-positive init gain " << gain);
   const double stddev = gain / std::sqrt(static_cast<double>(cols_));
   for (double& v : data_) v = rng.normal(0.0, stddev);
-}
-
-void add_bias(Matrix& m, const Vec& bias) {
-  DARL_CHECK(bias.size() == m.cols(),
-             "add_bias: bias has " << bias.size() << ", cols " << m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    double* row = m.row(r);
-    for (std::size_t c = 0; c < bias.size(); ++c) row[c] += bias[c];
-  }
-}
-
-void apply_tanh(Matrix& m) {
-  for (double& v : m.data()) v = std::tanh(v);
-}
-
-void apply_relu(Matrix& m) {
-  for (double& v : m.data()) v = v > 0.0 ? v : 0.0;
 }
 
 }  // namespace darl

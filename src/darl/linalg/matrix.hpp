@@ -69,6 +69,14 @@ class Matrix {
   static void gemm(double alpha, const Matrix& a, bool trans_a,
                    const Matrix& b, bool trans_b, Matrix& c);
 
+  /// C = alpha * op(A) * op(B): gemm's overwrite mode, through the same
+  /// shape checks and kernels. C's prior contents are never read — each chain
+  /// starts from +0.0 in a register — so the result is bit for bit
+  /// c.fill(0.0) followed by gemm(alpha, a, trans_a, b, trans_b, c),
+  /// without the fill and the loads.
+  static void gemm_overwrite(double alpha, const Matrix& a, bool trans_a,
+                             const Matrix& b, bool trans_b, Matrix& c);
+
   /// Transposed copy.
   Matrix transposed() const;
 
@@ -91,14 +99,5 @@ void set_fast_math(bool on);
 
 /// Whether gemm is currently using the fused-multiply-add micro-kernel.
 bool fast_math_active();
-
-/// m(r, c) += bias[c] for every row r. Requires bias.size() == m.cols().
-/// Per row, the same additions as axpy(1.0, bias, row).
-void add_bias(Matrix& m, const Vec& bias);
-
-/// Element-wise tanh / rectifier over the whole matrix, in place. Same
-/// scalar functions the per-sample MLP activation path applies.
-void apply_tanh(Matrix& m);
-void apply_relu(Matrix& m);
 
 }  // namespace darl

@@ -1,7 +1,9 @@
 #include "darl/nn/mlp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "darl/common/error.hpp"
 #include "darl/common/kernel.hpp"
@@ -26,7 +28,59 @@ DARL_KERNEL void record_batch(std::size_t rows, double flops) {
   DARL_GAUGE_ADD("nn.batched_flops", flops);
 }
 
+/// tanh'(z) from the stored a = tanh(z): d[i] *= 1 - a[i]^2.
+DARL_KERNEL [[gnu::always_inline]] inline void tanh_grad(
+    double* __restrict d, const double* __restrict a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) d[i] *= 1.0 - a[i] * a[i];
+}
+
 }  // namespace
+
+DARL_KERNEL void bias_activation(Matrix& z, const Vec& bias,
+                                 std::optional<Activation> act) {
+  DARL_CHECK(bias.size() == z.cols(),
+             "bias has " << bias.size() << " values, rows have " << z.cols());
+  const std::size_t cols = z.cols();
+  const double* __restrict b = bias.data();
+  for (std::size_t r = 0; r < z.rows(); ++r) {
+    double* __restrict row = z.row(r);
+    if (!act) {
+      for (std::size_t c = 0; c < cols; ++c) row[c] += b[c];
+    } else if (*act == Activation::ReLU) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double v = row[c] + b[c];
+        row[c] = v > 0.0 ? v : 0.0;
+      }
+    } else {
+      for (std::size_t c = 0; c < cols; ++c) row[c] = std::tanh(row[c] + b[c]);
+    }
+  }
+}
+
+DARL_KERNEL void relu_mask(double* __restrict d, const double* __restrict a,
+                           std::size_t n) {
+  // A lane of a vector compare is all ones where a > 0.0 (false for NaN,
+  // as in the scalar ternary) and all zeros elsewhere; ANDed with the bits
+  // of 1.0 it is exactly the ternary's 1.0 or +0.0. Four lanes are one AVX
+  // register, or two SSE2 ones without -mavx; the tail does the same with
+  // a scalar compare.
+  typedef double v4 __attribute__((vector_size(4 * sizeof(double))));
+  typedef std::int64_t m4 __attribute__((vector_size(4 * sizeof(double))));
+  const v4 zero = {};
+  const m4 one = __builtin_bit_cast(m4, v4{1.0, 1.0, 1.0, 1.0});
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    v4 av, dv;
+    __builtin_memcpy(&av, a + i, sizeof av);
+    __builtin_memcpy(&dv, d + i, sizeof dv);
+    dv *= __builtin_bit_cast(v4, (av > zero) & one);
+    __builtin_memcpy(d + i, &dv, sizeof dv);
+  }
+  for (; i < n; ++i) {
+    const std::uint64_t keep = -static_cast<std::uint64_t>(a[i] > 0.0);
+    d[i] *= std::bit_cast<double>(keep & std::bit_cast<std::uint64_t>(1.0));
+  }
+}
 
 Mlp::Mlp(const std::vector<std::size_t>& sizes, Activation activation, Rng& rng)
     : sizes_(sizes), activation_(activation) {
@@ -57,43 +111,24 @@ void Mlp::ensure_forward_ws(std::size_t batch) {
   for (std::size_t l = 0; l <= layers; ++l) ws_act_[l].reshape(batch, sizes_[l]);
 }
 
-void Mlp::apply_act(Matrix& z) const {
-  if (activation_ == Activation::Tanh) {
-    apply_tanh(z);
-  } else {
-    apply_relu(z);
-  }
-}
-
 DARL_KERNEL void Mlp::act_grad_and_bias_grad(Matrix& delta, const Matrix* act,
-                                             Vec& grad_b) const {
+                                             Vec* grad_b) const {
   // One row-order pass: each element first becomes dL/dz, then lands in
   // grad_b, so grad_b[c] sums the rows in ascending order as before.
   const std::size_t rows = delta.rows();
   const std::size_t cols = delta.cols();
-  double* gb = grad_b.data();
+  double* __restrict gb = grad_b != nullptr ? grad_b->data() : nullptr;
   for (std::size_t r = 0; r < rows; ++r) {
-    double* d = delta.row(r);
-    if (act == nullptr) {
+    double* __restrict d = delta.row(r);
+    if (act != nullptr) {
+      if (activation_ == Activation::ReLU) {
+        relu_mask(d, act->row(r), cols);
+      } else {
+        tanh_grad(d, act->row(r), cols);
+      }
+    }
+    if (gb != nullptr) {
       for (std::size_t c = 0; c < cols; ++c) gb[c] += d[c];
-    } else if (activation_ == Activation::Tanh) {
-      // a[c] is the stored tanh of the pre-activation, so 1 - a^2 is bit
-      // for bit the value a recompute through std::tanh would produce —
-      // without the (expensive) recompute.
-      const double* a = act->row(r);
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double t = a[c];
-        d[c] *= 1.0 - t * t;
-        gb[c] += d[c];
-      }
-    } else {
-      // relu(z) > 0 exactly when z > 0, so the stored output decides the
-      // pass-through mask just like the pre-activation would.
-      const double* a = act->row(r);
-      for (std::size_t c = 0; c < cols; ++c) {
-        d[c] *= a[c] > 0.0 ? 1.0 : 0.0;
-        gb[c] += d[c];
-      }
     }
   }
 }
@@ -108,13 +143,13 @@ DARL_KERNEL const Matrix& Mlp::forward_batch(const Matrix& x) {
   std::copy(x.data().begin(), x.data().end(), ws_act_[0].data().begin());
   for (std::size_t l = 0; l < layers; ++l) {
     Matrix& z = ws_act_[l + 1];
-    z.fill(0.0);
-    // Z = X * W^T straight through the NT flavour: gemm packs the weight
-    // operand internally once the batch clears its threshold, with the
-    // same per-element summation order at every batch size.
-    Matrix::gemm(1.0, ws_act_[l], false, weights_[l], true, z);
-    add_bias(z, biases_[l]);
-    if (l + 1 < layers) apply_act(z);
+    // Z = X * W^T straight through the NT flavour, each chain started from
+    // +0.0 in a register; gemm packs the weight operand internally once the
+    // batch clears its threshold, with the same per-element summation order
+    // at every batch size.
+    Matrix::gemm_overwrite(1.0, ws_act_[l], false, weights_[l], true, z);
+    bias_activation(z, biases_[l],
+                    l + 1 < layers ? std::optional(activation_) : std::nullopt);
   }
   forward_rows_ = batch;
   return ws_act_[layers];
@@ -131,17 +166,18 @@ DARL_KERNEL const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
   Matrix* spare = &ws_eval_b_;
   for (std::size_t l = 0; l < layers; ++l) {
     z->reshape(batch, sizes_[l + 1]);
-    z->fill(0.0);
-    Matrix::gemm(1.0, *a, false, weights_[l], true, *z);
-    add_bias(*z, biases_[l]);
-    if (l + 1 < layers) apply_act(*z);
+    Matrix::gemm_overwrite(1.0, *a, false, weights_[l], true, *z);
+    bias_activation(*z, biases_[l],
+                    l + 1 < layers ? std::optional(activation_) : std::nullopt);
     a = z;
     std::swap(z, spare);
   }
   return *a;
 }
 
-DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
+DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& grad_output,
+                                              Grad want) {
+  static const Matrix kNoInputGrad;
   DARL_CHECK(forward_rows_ > 0, "backward_batch() without a preceding forward_batch()");
   DARL_CHECK(grad_output.rows() == forward_rows_ && grad_output.cols() == output_dim(),
              "grad_output is " << grad_output.rows() << "x" << grad_output.cols()
@@ -149,7 +185,15 @@ DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
                                << output_dim());
   const std::size_t batch = forward_rows_;
   const std::size_t layers = weights_.size();
-  record_batch(batch, 2.0 * flops_fwd_ * static_cast<double>(batch));
+  const bool params = want != Grad::Input;
+  const bool input = want != Grad::Params;
+  // The full pass costs twice a forward; Params skips the layer-0 dX
+  // product and Input every dW product.
+  const double first_layer = 2.0 * static_cast<double>(sizes_[0] * sizes_[1]);
+  const double flops = want == Grad::Both     ? 2.0 * flops_fwd_
+                       : want == Grad::Params ? 2.0 * flops_fwd_ - first_layer
+                                              : flops_fwd_;
+  record_batch(batch, flops * static_cast<double>(batch));
   Matrix* delta = &ws_delta_a_;  // dL/dz rows for the current layer
   Matrix* spare = &ws_delta_b_;
   delta->reshape(batch, output_dim());
@@ -158,19 +202,20 @@ DARL_KERNEL const Matrix& Mlp::backward_batch(const Matrix& grad_output) {
   for (std::size_t li = layers; li-- > 0;) {
     // For a hidden layer delta holds dL/da of its activation output: one
     // pass converts it to dL/dz through the activation derivative (read
-    // off the stored activation rows) and adds it into the bias gradient.
+    // off the stored activation rows) and, when the parameter gradients
+    // are wanted, adds it into the bias gradient.
     act_grad_and_bias_grad(*delta, li + 1 < layers ? &ws_act_[li + 1] : nullptr,
-                           grad_b_[li]);
+                           params ? &grad_b_[li] : nullptr);
     // grad_w += delta^T * activations: element (r, c) accumulates over
     // samples in ascending order, exactly like one backward per sample.
-    Matrix::gemm(1.0, *delta, true, ws_act_[li], false, grad_w_[li]);
+    if (params) Matrix::gemm(1.0, *delta, true, ws_act_[li], false, grad_w_[li]);
+    if (li == 0 && !input) break;
     spare->reshape(batch, sizes_[li]);
-    spare->fill(0.0);
-    Matrix::gemm(1.0, *delta, false, weights_[li], false, *spare);
+    Matrix::gemm_overwrite(1.0, *delta, false, weights_[li], false, *spare);
     std::swap(delta, spare);
   }
   forward_rows_ = 0;
-  return *delta;  // dL/dX
+  return input ? *delta : kNoInputGrad;  // dL/dX
 }
 
 const Vec& Mlp::forward(const Vec& x) {

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,23 @@ namespace darl::nn {
 
 /// Hidden-layer activation functions.
 enum class Activation { Tanh, ReLU };
+
+/// What one Mlp::backward_batch pass computes: the parameter gradients,
+/// the input gradient dL/dX, or both. Every mode gives the bits the full
+/// pass would give for what it computes.
+enum class Grad { Params, Input, Both };
+
+/// The forward's one row pass per layer: z(r, c) = f(z(r, c) + bias[c])
+/// for every row, where f is `act` on a hidden layer (ReLU as
+/// v > 0.0 ? v : 0.0, tanh as std::tanh) and the identity on the output
+/// layer (nullopt). Requires bias.size() == z.cols().
+void bias_activation(Matrix& z, const Vec& bias, std::optional<Activation> act);
+
+/// The ReLU derivative over n values: d[i] *= a[i] > 0.0 ? 1.0 : 0.0,
+/// without a branch — the mask is a compare ANDed with the bits of 1.0,
+/// then the same IEEE multiply. `a` holds the stored activations (relu(z)
+/// > 0 exactly when z > 0).
+void relu_mask(double* d, const double* a, std::size_t n);
 
 /// A reference to one parameter buffer and its gradient accumulator.
 /// Optimizers iterate these; the referenced storage is owned by the model.
@@ -39,9 +57,10 @@ struct ParamRef {
 ///
 /// Batched usage: Y = forward_batch(X) with one observation per row; then
 /// backward_batch(dL/dY) accumulates parameter gradients (call zero_grad()
-/// between optimizer steps) and returns dL/dX. forward_batch/backward_batch
-/// must be paired: backward consumes the caches of the immediately
-/// preceding forward. evaluate_batch never touches those caches.
+/// between optimizer steps) and returns dL/dX; a Grad mode restricts it to
+/// one of the two. forward_batch/backward_batch must be paired: backward
+/// consumes the caches of the immediately preceding forward.
+/// evaluate_batch never touches those caches.
 ///
 /// Instances are NOT safe for concurrent calls — evaluate/evaluate_batch
 /// included, since they write the instance's reusable workspace buffers.
@@ -78,11 +97,14 @@ class Mlp {
 
   /// Batched backward for the immediately preceding forward_batch.
   /// grad_output is (batch x output_dim); row i must hold dL/dy for row i
-  /// of the forward input. Accumulates parameter gradients exactly as the
-  /// equivalent sequence of per-sample backward() calls would (same
-  /// per-element accumulation order) and returns dL/dX (batch x input_dim),
-  /// a workspace reference valid until the next backward call.
-  const Matrix& backward_batch(const Matrix& grad_output);
+  /// of the forward input. Unless `want` is Grad::Input, accumulates
+  /// parameter gradients exactly as the equivalent sequence of per-sample
+  /// backward() calls would (same per-element accumulation order); Input
+  /// leaves them untouched. Returns dL/dX (batch x input_dim), a workspace
+  /// reference valid until the next backward call — or, for Grad::Params,
+  /// which skips the layer-0 input-gradient product, an empty matrix.
+  const Matrix& backward_batch(const Matrix& grad_output,
+                               Grad want = Grad::Both);
 
   /// Zero every gradient accumulator.
   void zero_grad();
@@ -115,17 +137,14 @@ class Mlp {
   /// until the largest batch has been seen.
   void ensure_forward_ws(std::size_t batch);
 
-  /// In-place activation application; identical scalar math to the
-  /// per-sample act.
-  void apply_act(Matrix& z) const;
   /// One backward step's row-order pass over delta: scale by the
   /// activation derivative when `act` (the layer's stored activation
-  /// output) is given, then add each row into grad_b. The derivative is
-  /// read off the stored output (for tanh, 1 - a^2 with a the stored tanh
-  /// value — the same double the pre-activation recompute would give; for
-  /// ReLU, a > 0 exactly when z > 0).
+  /// output) is given, then add each row into grad_b when it is given.
+  /// The derivative is read off the stored output (for tanh, 1 - a^2 with
+  /// a the stored tanh value — the same double the pre-activation
+  /// recompute would give; for ReLU, relu_mask).
   void act_grad_and_bias_grad(Matrix& delta, const Matrix* act,
-                              Vec& grad_b) const;
+                              Vec* grad_b) const;
 
   std::vector<std::size_t> sizes_;
   Activation activation_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
+#include "darl/obs/trace.hpp"
 
 namespace darl::rl {
 
@@ -68,6 +69,7 @@ TrainStats ImpalaAlgorithm::train(const std::vector<WorkerBatch>& batches) {
 
   // Single pass over every stream: compute V-trace targets with the
   // current networks, then accumulate one policy and one value gradient.
+  DARL_SPAN("rl.impala.vtrace");
   zero_grad();
 
   std::size_t total = 0;
@@ -117,8 +119,8 @@ TrainStats ImpalaAlgorithm::train(const std::vector<WorkerBatch>& batches) {
       value_loss += 0.5 * verr * verr;
       st_dv_.row(i)[0] = scale * config_.value_coef * verr;
     }
-    actor_.backward_batch(st_dhead_);
-    critic_.backward_batch(st_dv_);
+    actor_.backward_batch(st_dhead_, nn::Grad::Params);
+    critic_.backward_batch(st_dv_, nn::Grad::Params);
   }
   clip_and_step(config_.max_grad_norm);
 

@@ -55,8 +55,6 @@ class ImpalaAlgorithm final : public ActorCritic {
 
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
-  const ImpalaConfig& config() const { return config_; }
-
  private:
   ImpalaConfig config_;
 

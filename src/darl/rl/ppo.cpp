@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
+#include "darl/obs/trace.hpp"
 #include "darl/rl/gae.hpp"
 
 namespace darl::rl {
@@ -23,33 +24,35 @@ PpoAlgorithm::PpoAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
 TrainStats PpoAlgorithm::train(const std::vector<WorkerBatch>& batches) {
   TrainStats stats;
 
-  // 1) GAE per worker stream with the current critic.
+  // 1) GAE per worker stream with the current critic, then normalised
+  // advantages.
   std::vector<Sample> samples;
   double value_evals = 0.0;
-  for (const auto& batch : batches) {
-    const auto& stream = batch.transitions;
-    if (stream.empty()) continue;
-    std::vector<double> values(stream.size());
-    std::vector<double> boots(stream.size());
-    value_evals += critic_pass(stream, values, boots);
+  {
+    DARL_SPAN("rl.ppo.advantages");
+    for (const auto& batch : batches) {
+      const auto& stream = batch.transitions;
+      if (stream.empty()) continue;
+      std::vector<double> values(stream.size());
+      std::vector<double> boots(stream.size());
+      value_evals += critic_pass(stream, values, boots);
 
-    const GaeResult gae = compute_gae(stream, values, boots, config_.gamma,
-                                      config_.gae_lambda);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      samples.push_back(Sample{&stream[i], gae.advantages[i], gae.returns[i]});
+      const GaeResult gae = compute_gae(stream, values, boots, config_.gamma,
+                                        config_.gae_lambda);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        samples.push_back(Sample{&stream[i], gae.advantages[i], gae.returns[i]});
+      }
     }
+    if (samples.empty()) return stats;
+
+    std::vector<double> advs(samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) advs[i] = samples[i].advantage;
+    normalize_advantages(advs);
+    for (std::size_t i = 0; i < samples.size(); ++i) samples[i].advantage = advs[i];
   }
-  if (samples.empty()) return stats;
   stats.samples = samples.size();
 
-  std::vector<double> advs(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) advs[i] = samples[i].advantage;
-  normalize_advantages(advs);
-  for (std::size_t i = 0; i < samples.size(); ++i) samples[i].advantage = advs[i];
-
   // 2) Minibatch epochs.
-  double kl_sum = 0.0;
-  std::size_t kl_count = 0;
   double policy_loss_sum = 0.0, value_loss_sum = 0.0, entropy_sum = 0.0;
   std::size_t loss_count = 0;
   bool stop = false;
@@ -57,6 +60,7 @@ TrainStats PpoAlgorithm::train(const std::vector<WorkerBatch>& batches) {
   const double hi = 1.0 + config_.clip_epsilon;
 
   for (std::size_t epoch = 0; epoch < config_.epochs && !stop; ++epoch) {
+    DARL_SPAN_V("rl.ppo.epoch", "epoch", epoch);
     const auto perm = rng_.permutation(samples.size());
     for (std::size_t start = 0; start < perm.size() && !stop;
          start += config_.minibatch_size) {
@@ -108,21 +112,18 @@ TrainStats PpoAlgorithm::train(const std::vector<WorkerBatch>& batches) {
         mb_dv_.row(k)[0] = scale * config_.value_coef * verr;
         ++loss_count;
       }
-      actor_.backward_batch(mb_dhead_);
-      critic_.backward_batch(mb_dv_);
+      actor_.backward_batch(mb_dhead_, nn::Grad::Params);
+      critic_.backward_batch(mb_dv_, nn::Grad::Params);
       clip_and_step(config_.max_grad_norm);
       ++stats.gradient_steps;
 
       mb_kl /= static_cast<double>(end - start);
-      kl_sum += mb_kl;
-      ++kl_count;
       if (config_.target_kl > 0.0 && mb_kl > 1.5 * config_.target_kl) {
         stop = true;  // early stop as in Stable Baselines
       }
     }
   }
 
-  last_kl_ = kl_count ? kl_sum / static_cast<double>(kl_count) : 0.0;
   if (loss_count > 0) {
     stats.policy_loss = policy_loss_sum / static_cast<double>(loss_count);
     stats.value_loss = value_loss_sum / static_cast<double>(loss_count);

@@ -43,11 +43,6 @@ class PpoAlgorithm final : public ActorCritic {
 
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
-  const PpoConfig& config() const { return config_; }
-
-  /// Mean approximate KL of the last train() call (diagnostics).
-  double last_approx_kl() const { return last_kl_; }
-
  private:
   struct Sample {
     const Transition* t = nullptr;
@@ -56,7 +51,6 @@ class PpoAlgorithm final : public ActorCritic {
   };
 
   PpoConfig config_;
-  double last_kl_ = 0.0;
 
   // Reusable minibatch staging for the batched kernels. Capacity grows to
   // the largest minibatch seen, then train() runs allocation-free apart

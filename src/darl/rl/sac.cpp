@@ -5,6 +5,7 @@
 
 #include "darl/common/error.hpp"
 #include "darl/nn/distributions.hpp"
+#include "darl/obs/trace.hpp"
 #include "darl/rl/policy.hpp"
 
 namespace darl::rl {
@@ -40,14 +41,6 @@ Vec unscale_from_box(const Vec& env_action, const env::BoxSpace& box) {
                          : 0.0;
     out[i] = std::clamp(v, -0.999999, 0.999999);
   }
-  return out;
-}
-
-Vec concat(const Vec& a, const Vec& b) {
-  Vec out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
   return out;
 }
 
@@ -172,11 +165,6 @@ std::size_t SacAlgorithm::transition_bytes() const {
   return (2 * obs_dim_ + act_dim_ + 4) * sizeof(double);
 }
 
-double SacAlgorithm::q_value(const Vec& obs, const Vec& squashed_action) {
-  const Vec in = concat(obs, squashed_action);
-  return std::min(q1_.evaluate(in)[0], q2_.evaluate(in)[0]);
-}
-
 void SacAlgorithm::polyak_update() {
   // Blend each target buffer in place against its online twin.
   const double tau = config_.tau;
@@ -205,163 +193,165 @@ void SacAlgorithm::one_update(TrainStats& stats) {
   // non-terminal rows; the policy draws stay per-sample in ascending batch
   // order so the rng_ stream is identical to the per-sample loop.
   std::vector<double> targets(batch.size());
-  nonterm_idx_.clear();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!batch[i]->terminated) nonterm_idx_.push_back(i);
-  }
-  if (!nonterm_idx_.empty()) {
-    mb_obs_.reshape(nonterm_idx_.size(), obs_dim_);
-    for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
-      const Vec& nobs = batch[nonterm_idx_[k]]->next_obs;
-      std::copy(nobs.begin(), nobs.end(), mb_obs_.row(k));
+  {
+    DARL_SPAN("rl.sac.target");
+    nonterm_idx_.clear();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!batch[i]->terminated) nonterm_idx_.push_back(i);
     }
-    const Matrix& heads = actor_.evaluate_batch(mb_obs_);
-    mb_qin_.reshape(nonterm_idx_.size(), obs_dim_ + act_dim_);
-    tgt_logp_.resize(nonterm_idx_.size());
-    for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
-      const Transition& tr = *batch[nonterm_idx_[k]];
-      split_head(heads.row(k), act_dim_, config_.log_std_min,
-                 config_.log_std_max, mean_scratch_, log_std_scratch_);
-      const auto draw =
-          nn::SquashedGaussian::sample(mean_scratch_, log_std_scratch_, rng_);
-      double* qrow = mb_qin_.row(k);
-      std::copy(tr.next_obs.begin(), tr.next_obs.end(), qrow);
-      std::copy(draw.action.begin(), draw.action.end(), qrow + obs_dim_);
-      tgt_logp_[k] = draw.log_prob;
+    if (!nonterm_idx_.empty()) {
+      mb_obs_.reshape(nonterm_idx_.size(), obs_dim_);
+      for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
+        const Vec& nobs = batch[nonterm_idx_[k]]->next_obs;
+        std::copy(nobs.begin(), nobs.end(), mb_obs_.row(k));
+      }
+      const Matrix& heads = actor_.evaluate_batch(mb_obs_);
+      mb_qin_.reshape(nonterm_idx_.size(), obs_dim_ + act_dim_);
+      tgt_logp_.resize(nonterm_idx_.size());
+      for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
+        const Transition& tr = *batch[nonterm_idx_[k]];
+        split_head(heads.row(k), act_dim_, config_.log_std_min,
+                   config_.log_std_max, mean_scratch_, log_std_scratch_);
+        const auto draw =
+            nn::SquashedGaussian::sample(mean_scratch_, log_std_scratch_, rng_);
+        double* qrow = mb_qin_.row(k);
+        std::copy(tr.next_obs.begin(), tr.next_obs.end(), qrow);
+        std::copy(draw.action.begin(), draw.action.end(), qrow + obs_dim_);
+        tgt_logp_[k] = draw.log_prob;
+      }
+      const Matrix& q1v = q1_target_.evaluate_batch(mb_qin_);
+      const Matrix& q2v = q2_target_.evaluate_batch(mb_qin_);
+      for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
+        const double qmin = std::min(q1v(k, 0), q2v(k, 0));
+        targets[nonterm_idx_[k]] =
+            batch[nonterm_idx_[k]]->reward +
+            config_.gamma * (qmin - a_now * tgt_logp_[k]);
+      }
     }
-    const Matrix& q1v = q1_target_.evaluate_batch(mb_qin_);
-    const Matrix& q2v = q2_target_.evaluate_batch(mb_qin_);
-    for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
-      const double qmin = std::min(q1v(k, 0), q2v(k, 0));
-      targets[nonterm_idx_[k]] =
-          batch[nonterm_idx_[k]]->reward +
-          config_.gamma * (qmin - a_now * tgt_logp_[k]);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i]->terminated) targets[i] = batch[i]->reward;
     }
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i]->terminated) targets[i] = batch[i]->reward;
   }
 
   // --- 2) Critic updates (MSE to targets): one forward/backward batch per
   // critic instead of per sample.
-  q1_.zero_grad();
-  q2_.zero_grad();
   double q_loss = 0.0;
-  mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Transition& tr = *batch[i];
-    const Vec squashed = unscale_from_box(tr.action, action_space_.box());
-    double* qrow = mb_qin_.row(i);
-    std::copy(tr.obs.begin(), tr.obs.end(), qrow);
-    std::copy(squashed.begin(), squashed.end(), qrow + obs_dim_);
+  {
+    DARL_SPAN("rl.sac.critic");
+    q1_.zero_grad();
+    q2_.zero_grad();
+    mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Transition& tr = *batch[i];
+      const Vec squashed = unscale_from_box(tr.action, action_space_.box());
+      double* qrow = mb_qin_.row(i);
+      std::copy(tr.obs.begin(), tr.obs.end(), qrow);
+      std::copy(squashed.begin(), squashed.end(), qrow + obs_dim_);
+    }
+    const Matrix& cv1 = q1_.forward_batch(mb_qin_);
+    const Matrix& cv2 = q2_.forward_batch(mb_qin_);
+    mb_d1_.reshape(batch.size(), 1);
+    mb_d2_.reshape(batch.size(), 1);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const double e1 = cv1(i, 0) - targets[i];
+      const double e2 = cv2(i, 0) - targets[i];
+      mb_d1_(i, 0) = inv_b * e1;
+      mb_d2_(i, 0) = inv_b * e2;
+      q_loss += 0.5 * inv_b * (e1 * e1 + e2 * e2);
+    }
+    q1_.backward_batch(mb_d1_, nn::Grad::Params);
+    q2_.backward_batch(mb_d2_, nn::Grad::Params);
+    nn::clip_grad_norm(q1_.params(), config_.max_grad_norm);
+    nn::clip_grad_norm(q2_.params(), config_.max_grad_norm);
+    q1_opt_->step();
+    q2_opt_->step();
   }
-  const Matrix& cv1 = q1_.forward_batch(mb_qin_);
-  const Matrix& cv2 = q2_.forward_batch(mb_qin_);
-  mb_d1_.reshape(batch.size(), 1);
-  mb_d2_.reshape(batch.size(), 1);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double e1 = cv1(i, 0) - targets[i];
-    const double e2 = cv2(i, 0) - targets[i];
-    mb_d1_(i, 0) = inv_b * e1;
-    mb_d2_(i, 0) = inv_b * e2;
-    q_loss += 0.5 * inv_b * (e1 * e1 + e2 * e2);
-  }
-  q1_.backward_batch(mb_d1_);
-  q2_.backward_batch(mb_d2_);
-  nn::clip_grad_norm(q1_.params(), config_.max_grad_norm);
-  nn::clip_grad_norm(q2_.params(), config_.max_grad_norm);
-  q1_opt_->step();
-  q2_opt_->step();
 
   // --- 3) Actor update: minimize alpha logp - min Q(s, a(s)).
   // Batched: one actor forward over the batch, per-sample draws in rng
-  // order, one batched q1/q2 evaluation to pick the smaller critic, then
-  // one forward/backward batch per chosen-critic group to pull dQ/da out
-  // of the critic input gradients, and a single actor backward batch.
-  actor_.zero_grad();
+  // order, one forward per critic over the batch to pick the smaller
+  // critic per row, one input-gradient backward per critic to pull dQ/da
+  // out of its own rows, and a single actor backward batch.
   double logp_sum = 0.0;
-  mb_obs_.reshape(batch.size(), obs_dim_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::copy(batch[i]->obs.begin(), batch[i]->obs.end(), mb_obs_.row(i));
-  }
-  const Matrix& heads = actor_.forward_batch(mb_obs_);
-  draws_.resize(batch.size());
-  means_.resize(batch.size());
-  log_stds_.resize(batch.size());
-  mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Transition& tr = *batch[i];
-    split_head(heads.row(i), act_dim_, config_.log_std_min,
-               config_.log_std_max, means_[i], log_stds_[i]);
-    draws_[i] = nn::SquashedGaussian::sample(means_[i], log_stds_[i], rng_);
-    logp_sum += draws_[i].log_prob;
-    double* qrow = mb_qin_.row(i);
-    std::copy(tr.obs.begin(), tr.obs.end(), qrow);
-    std::copy(draws_[i].action.begin(), draws_[i].action.end(),
-              qrow + obs_dim_);
-  }
   {
-    const Matrix& av1 = q1_.evaluate_batch(mb_qin_);
-    const Matrix& av2 = q2_.evaluate_batch(mb_qin_);
-    grp1_idx_.clear();
-    grp2_idx_.clear();
+    DARL_SPAN("rl.sac.actor");
+    actor_.zero_grad();
+    mb_obs_.reshape(batch.size(), obs_dim_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      // Same tie rule as the per-sample path: q1 wins on equality.
-      (av1(i, 0) <= av2(i, 0) ? grp1_idx_ : grp2_idx_).push_back(i);
+      std::copy(batch[i]->obs.begin(), batch[i]->obs.end(), mb_obs_.row(i));
     }
-  }
-  // dL/da from the critic with the smaller Q (grad of -Q is -dQ/da).
-  mb_ga_.reshape(batch.size(), act_dim_);
-  for (int g = 0; g < 2; ++g) {
-    const std::vector<std::size_t>& idx = g == 0 ? grp1_idx_ : grp2_idx_;
-    if (idx.empty()) continue;
-    nn::Mlp& qnet = g == 0 ? q1_ : q2_;
-    grp_qin_.reshape(idx.size(), obs_dim_ + act_dim_);
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      const double* src = mb_qin_.row(idx[k]);
-      std::copy(src, src + obs_dim_ + act_dim_, grp_qin_.row(k));
+    const Matrix& heads = actor_.forward_batch(mb_obs_);
+    draws_.resize(batch.size());
+    means_.resize(batch.size());
+    log_stds_.resize(batch.size());
+    mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Transition& tr = *batch[i];
+      split_head(heads.row(i), act_dim_, config_.log_std_min,
+                 config_.log_std_max, means_[i], log_stds_[i]);
+      draws_[i] = nn::SquashedGaussian::sample(means_[i], log_stds_[i], rng_);
+      logp_sum += draws_[i].log_prob;
+      double* qrow = mb_qin_.row(i);
+      std::copy(tr.obs.begin(), tr.obs.end(), qrow);
+      std::copy(draws_[i].action.begin(), draws_[i].action.end(),
+                qrow + obs_dim_);
     }
-    qnet.forward_batch(grp_qin_);
-    grp_dy_.reshape(idx.size(), 1);
-    grp_dy_.fill(1.0);
-    const Matrix& din = qnet.backward_batch(grp_dy_);  // dQ/d[obs, action]
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      double* ga = mb_ga_.row(idx[k]);
-      const double* drow = din.row(k);
+    // Each row reads dQ/da from the critic with the smaller Q (q1 on
+    // ties, as the per-sample path did): dy is 1.0 on that critic's own
+    // rows and 0.0 elsewhere. Every pass is row-independent, so the rows
+    // read carry the bits of a pass over that critic's rows alone. The
+    // input-gradient mode leaves the critics' parameter gradients alone.
+    const Matrix& av1 = q1_.forward_batch(mb_qin_);
+    const Matrix& av2 = q2_.forward_batch(mb_qin_);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const bool first = av1(i, 0) <= av2(i, 0);
+      mb_d1_(i, 0) = first ? 1.0 : 0.0;
+      mb_d2_(i, 0) = first ? 0.0 : 1.0;
+    }
+    const Matrix& din1 = q1_.backward_batch(mb_d1_, nn::Grad::Input);
+    const Matrix& din2 = q2_.backward_batch(mb_d2_, nn::Grad::Input);
+    // dL/da = -dQ/da of the chosen critic (dQ/d[obs, action] rows).
+    mb_ga_.reshape(batch.size(), act_dim_);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const double* drow = mb_d1_(i, 0) == 1.0 ? din1.row(i) : din2.row(i);
+      double* ga = mb_ga_.row(i);
       for (std::size_t j = 0; j < act_dim_; ++j) ga[j] = -drow[obs_dim_ + j];
     }
-  }
-  // Discard the input-gradient pollution accumulated in the critics.
-  q1_.zero_grad();
-  q2_.zero_grad();
-  mb_dhead_.reshape(batch.size(), 2 * act_dim_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    grad_action_.assign(mb_ga_.row(i), mb_ga_.row(i) + act_dim_);
-    nn::SquashedGaussian::pathwise_grad(means_[i], log_stds_[i],
-                                        draws_[i].pre_tanh, draws_[i].noise,
-                                        a_now, grad_action_, d_mean_,
-                                        d_log_std_);
-    // Chain d_log_std through the soft clamp log_std = f(raw).
-    double* dh = mb_dhead_.row(i);
-    for (std::size_t j = 0; j < act_dim_; ++j) {
-      dh[j] = inv_b * d_mean_[j];
-      const double t = std::tanh(heads(i, act_dim_ + j));
-      const double dclamp =
-          0.5 * (config_.log_std_max - config_.log_std_min) * (1.0 - t * t);
-      dh[act_dim_ + j] = inv_b * d_log_std_[j] * dclamp;
+    mb_dhead_.reshape(batch.size(), 2 * act_dim_);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      grad_action_.assign(mb_ga_.row(i), mb_ga_.row(i) + act_dim_);
+      nn::SquashedGaussian::pathwise_grad(means_[i], log_stds_[i],
+                                          draws_[i].pre_tanh, draws_[i].noise,
+                                          a_now, grad_action_, d_mean_,
+                                          d_log_std_);
+      // Chain d_log_std through the soft clamp log_std = f(raw).
+      double* dh = mb_dhead_.row(i);
+      for (std::size_t j = 0; j < act_dim_; ++j) {
+        dh[j] = inv_b * d_mean_[j];
+        const double t = std::tanh(heads(i, act_dim_ + j));
+        const double dclamp =
+            0.5 * (config_.log_std_max - config_.log_std_min) * (1.0 - t * t);
+        dh[act_dim_ + j] = inv_b * d_log_std_[j] * dclamp;
+      }
     }
+    actor_.backward_batch(mb_dhead_, nn::Grad::Params);
+    nn::clip_grad_norm(actor_.params(), config_.max_grad_norm);
+    actor_opt_->step();
   }
-  actor_.backward_batch(mb_dhead_);
-  nn::clip_grad_norm(actor_.params(), config_.max_grad_norm);
-  actor_opt_->step();
 
   // --- 4) Temperature update: J(alpha) = E[-alpha (logp + target_entropy)].
   const double mean_logp = logp_sum * inv_b;
-  log_alpha_grad_[0] = -a_now * (mean_logp + target_entropy_);
-  alpha_opt_->step();
+  {
+    DARL_SPAN("rl.sac.alpha");
+    log_alpha_grad_[0] = -a_now * (mean_logp + target_entropy_);
+    alpha_opt_->step();
+  }
 
   // --- 5) Target networks.
-  polyak_update();
+  {
+    DARL_SPAN("rl.sac.polyak");
+    polyak_update();
+  }
 
   ++stats.gradient_steps;
   stats.value_loss += q_loss;

@@ -55,12 +55,8 @@ class SacAlgorithm final : public Algorithm {
   std::size_t transition_bytes() const override;
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
-  const SacConfig& config() const { return config_; }
   double alpha() const;
   std::size_t replay_size() const { return replay_.size(); }
-
-  /// Q-value estimate min(Q1, Q2)(obs, squashed_action) for tests.
-  double q_value(const Vec& obs, const Vec& squashed_action);
 
  private:
   void polyak_update();
@@ -86,8 +82,7 @@ class SacAlgorithm final : public Algorithm {
   // settles at the configured batch size, after which one_update() stops
   // allocating in the network hot path.
   Matrix mb_obs_, mb_qin_, mb_d1_, mb_d2_, mb_dhead_, mb_ga_;
-  Matrix grp_qin_, grp_dy_;
-  std::vector<std::size_t> nonterm_idx_, grp1_idx_, grp2_idx_;
+  std::vector<std::size_t> nonterm_idx_;
   std::vector<nn::SquashedGaussian::Draw> draws_;
   std::vector<Vec> means_, log_stds_;
   std::vector<double> tgt_logp_;

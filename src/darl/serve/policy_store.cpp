@@ -99,6 +99,20 @@ std::uint64_t PolicyStore::publish(const std::string& tenant_name,
     }
   }
   Tenant& tenant = *it->second;
+  if (!tenant.retained_.empty()) {
+    // Hot-swap contract: a tenant's schedulers size their requests and
+    // actions from the version they were built with.
+    const PolicySpec& live = tenant.retained_.back()->spec;
+    const PolicySpec& next = version->spec;
+    DARL_CHECK(next.input_dim() == live.input_dim() &&
+                   next.action_space.action_dim() == live.action_space.action_dim(),
+               "tenant '" << tenant_name << "' serves " << live.input_dim()
+                          << "-dim observations and "
+                          << live.action_space.action_dim()
+                          << "-dim actions; the new version has "
+                          << next.input_dim() << " and "
+                          << next.action_space.action_dim());
+  }
   version->id = tenant.retained_.size() + 1;
   tenant.retained_.push_back(std::move(version));
   // Release pairs with the acquire in Tenant::current(): a reader that

@@ -118,7 +118,9 @@ class PolicyStore {
   /// new version becomes visible to current() before publish() returns.
   /// Throws InvalidArgument unless the parameters fill `sizes` and the
   /// head can decode over the action space at the width of the output
-  /// layer.
+  /// layer — and, on a tenant that already has a version, unless the spec
+  /// keeps that version's input width and action width (the interface its
+  /// schedulers were built for). A rejected spec stores nothing.
   std::uint64_t publish(PolicySpec spec);
 
   /// Publish a new version for a named tenant (created on first publish).

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -252,14 +256,16 @@ TEST(GemmBitwise, TtMatchesReferenceChain) {
 // Matrix::gemm runs only the instantiation CPUID picks, so without these
 // the 4-wide path would go unchecked on an AVX-512 host.
 
-/// C += alpha * op(A) * op(B) through one instantiation: op(B) is handed
-/// over as a row-major k x n copy (what Matrix::gemm's NT and TT packing
-/// builds), op(A) through its (row stride, t stride) pair.
+/// C += alpha * op(A) * op(B) (C = ... with `overwrite`) through one
+/// instantiation: op(B) is handed over as a row-major k x n copy (what
+/// Matrix::gemm's NT and TT packing builds), op(A) through its (row
+/// stride, t stride) pair.
 void run_instantiation(linalg::GemmRowsFn fn, double alpha, const Matrix& a,
                        bool trans_a, const Matrix& b, bool trans_b,
-                       Matrix& c) {
+                       Matrix& c, bool overwrite = false) {
   const Matrix bk = trans_b ? b.transposed() : b;
   linalg::GemmOperands g;
+  g.overwrite = overwrite;
   g.alpha = alpha;
   g.a = a.data().data();
   g.a_row_stride = trans_a ? 1 : a.cols();
@@ -315,6 +321,110 @@ TEST(GemmBitwise, Avx512InstantiationMatchesReferenceChain) {
 #endif
 }
 
+/// C += alpha * A * B^T (C = ... with `overwrite`) through the small-NT
+/// dot kernel, which reads B (n x k) in place.
+void run_nt_small(double alpha, const Matrix& a, const Matrix& b, Matrix& c,
+                  bool overwrite) {
+  linalg::GemmOperands g;
+  g.overwrite = overwrite;
+  g.alpha = alpha;
+  g.a = a.data().data();
+  g.a_row_stride = a.cols();
+  g.a_t_stride = 1;
+  g.b = b.data().data();
+  g.b_stride = b.cols();
+  g.c = c.data().data();
+  g.c_stride = c.cols();
+  g.m = c.rows();
+  g.n = c.cols();
+  g.k = a.cols();
+  linalg::gemm_nt_small(g);
+}
+
+/// One of the kernels behind Matrix::gemm; `nt_only` for the small-NT
+/// dot kernel, the others take every flavour.
+struct Kernel {
+  const char* name;
+  std::function<void(double, const Matrix&, bool, const Matrix&, bool,
+                     Matrix&, bool)>
+      run;
+  bool nt_only;
+};
+
+std::vector<Kernel> kernels_on_this_host() {
+  const auto instantiation = [](linalg::GemmRowsFn fn) {
+    return [fn](double alpha, const Matrix& a, bool ta, const Matrix& b,
+                bool tb, Matrix& c, bool overwrite) {
+      run_instantiation(fn, alpha, a, ta, b, tb, c, overwrite);
+    };
+  };
+  std::vector<Kernel> out;
+  out.push_back({"gemm_rows_v4", instantiation(&linalg::gemm_rows_v4), false});
+#if DARL_LINALG_X86
+  if (linalg::cpu_has_avx512f()) {
+    out.push_back({"gemm_rows_v8", instantiation(&linalg::gemm_rows_v8), false});
+  }
+#endif
+  out.push_back({"nt_small",
+                 [](double alpha, const Matrix& a, bool, const Matrix& b, bool,
+                    Matrix& c, bool overwrite) {
+                   run_nt_small(alpha, a, b, c, overwrite);
+                 },
+                 true});
+  out.push_back({"Matrix::gemm / gemm_overwrite",
+                 [](double alpha, const Matrix& a, bool ta, const Matrix& b,
+                    bool tb, Matrix& c, bool overwrite) {
+                   if (overwrite) {
+                     Matrix::gemm_overwrite(alpha, a, ta, b, tb, c);
+                   } else {
+                     Matrix::gemm(alpha, a, ta, b, tb, c);
+                   }
+                 },
+                 false});
+  return out;
+}
+
+// Overwrite mode: C = alpha * op(A) * op(B) equals fill(0.0) followed by
+// the accumulating product, bit for bit, in every kernel and flavour over
+// the edge shapes (K spanning several panels included) and the learner's.
+// C starts as NaN, so a kernel that read any element of it would show.
+// A second pass with A all zeros and alpha = -1 makes every term -0.0,
+// so only a +0.0 seed gives the +0.0 that fill(0.0) gives.
+TEST(GemmBitwise, OverwriteEqualsZeroFillThenAccumulate) {
+  Rng rng(31);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Kernel& kernel : kernels_on_this_host()) {
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        if (kernel.nt_only && (trans_a || !trans_b)) continue;
+        for_each_shape([&](const GemmShape& s) {
+          for (const bool zero_terms : {false, true}) {
+            const std::size_t ar = trans_a ? s.k : s.m, ac = trans_a ? s.m : s.k;
+            const Matrix a = zero_terms ? Matrix(ar, ac, 0.0)
+                                        : random_matrix(ar, ac, rng);
+            const Matrix b = trans_b ? random_matrix(s.n, s.k, rng)
+                                     : random_matrix(s.k, s.n, rng);
+            const double alpha = zero_terms ? -1.0 : -0.75;
+            Matrix expected(s.m, s.n);
+            expected.fill(0.0);
+            kernel.run(alpha, a, trans_a, b, trans_b, expected, false);
+            Matrix c(s.m, s.n, nan);
+            kernel.run(alpha, a, trans_a, b, trans_b, c, true);
+            for (std::size_t i = 0; i < c.size(); ++i) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(c.data()[i]),
+                        std::bit_cast<std::uint64_t>(expected.data()[i]))
+                  << kernel.name << " flavour " << (trans_a ? "T" : "N")
+                  << (trans_b ? "T" : "N") << " shape " << s.m << "x" << s.n
+                  << "x" << s.k << (zero_terms ? " zero terms" : "")
+                  << " element " << i;
+            }
+          }
+        });
+      }
+    }
+  }
+}
+
 // Contraction detector. (1 + 2^-27) * (1 - 2^-27) = 1 - 2^-54 rounds to
 // 1.0, so C = -1 plus that product is exactly 0.0 when the multiply and
 // the add round separately — and -2^-54 when they are fused into one FMA.
@@ -334,11 +444,48 @@ void check_contraction(linalg::GemmRowsFn fn, double expected) {
   }
 }
 
+/// The detector in overwrite mode, where C is never read: a first term of
+/// exactly -1 ((-1) * 1, k = 2) stands in for the stored -1, so the second
+/// term meets -1 in the accumulator just as above. C starts as NaN.
+void check_contraction_overwrite(const Kernel& kernel, bool trans_a,
+                                 bool trans_b) {
+  for (const GemmShape& s : kLearnerShapes) {
+    Matrix a(s.m, 2), b(2, s.n);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      a(i, 0) = -1.0;
+      a(i, 1) = 1.0 + 0x1p-27;
+    }
+    for (std::size_t j = 0; j < s.n; ++j) {
+      b(0, j) = 1.0;
+      b(1, j) = 1.0 - 0x1p-27;
+    }
+    const Matrix op_a = trans_a ? a.transposed() : a;
+    const Matrix op_b = trans_b ? b.transposed() : b;
+    Matrix c(s.m, s.n, std::numeric_limits<double>::quiet_NaN());
+    kernel.run(1.0, op_a, trans_a, op_b, trans_b, c, true);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(c.data()[i], 0.0)
+          << kernel.name << " flavour " << (trans_a ? "T" : "N")
+          << (trans_b ? "T" : "N") << " shape " << s.m << "x" << s.n
+          << " element " << i;
+    }
+  }
+}
+
 TEST(GemmBitwise, StrictPathsNeverContract) {
   check_contraction(&linalg::gemm_rows_v4, 0.0);
 #if DARL_LINALG_X86
   if (linalg::cpu_has_avx512f()) check_contraction(&linalg::gemm_rows_v8, 0.0);
 #endif
+  // Overwrite mode, through every kernel and flavour.
+  for (const Kernel& kernel : kernels_on_this_host()) {
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        if (kernel.nt_only && (trans_a || !trans_b)) continue;
+        check_contraction_overwrite(kernel, trans_a, trans_b);
+      }
+    }
+  }
   // And the dispatched gemm in every flavour (nt_small included), at
   // k = 1.
   for (const GemmShape& s : kLearnerShapes) {

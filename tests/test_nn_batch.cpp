@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/linalg/matrix.hpp"
 #include "darl/nn/mlp.hpp"
@@ -39,6 +44,16 @@ void expect_bitwise(const Vec& a, const Vec& b, const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << what << " element " << i;
+  }
+}
+
+/// Bit-pattern equality: NaN against NaN of the same payload passes, and
+/// -0.0 against +0.0 fails.
+void expect_bits(const double* a, const double* b, std::size_t n,
+                 const std::string& what) {
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
+        << what << " element " << i << ": " << a[i] << " vs " << b[i];
   }
 }
 
@@ -150,6 +165,50 @@ TEST_P(BatchEquivalence, GradientsAccumulateAcrossBatches) {
   }
 }
 
+// Grad::Params gives the full pass's parameter-gradient bits and skips
+// the input gradient; Grad::Input gives its dX bits and leaves the
+// gradients as they were.
+TEST_P(BatchEquivalence, BackwardModesMatchTheFullPass) {
+  for (const auto& sizes : kShapes) {
+    Rng init(7);
+    Mlp full(sizes, activation(), init);
+    Mlp params_only = full;
+    Mlp input_only = full;
+
+    Rng data(23);
+    const Matrix x = random_matrix(batch(), sizes.front(), data);
+    const Matrix g = random_matrix(batch(), sizes.back(), data);
+    full.zero_grad();
+    full.forward_batch(x);
+    const Matrix dx = full.backward_batch(g);
+
+    params_only.zero_grad();
+    params_only.forward_batch(x);
+    EXPECT_TRUE(params_only.backward_batch(g, Grad::Params).empty());
+    expect_grads_bitwise(full, params_only, "Grad::Params");
+
+    // Gradients left over from an earlier pass must survive Grad::Input.
+    input_only.forward_batch(x);
+    input_only.backward_batch(g);
+    const std::vector<Vec> before = [&] {
+      std::vector<Vec> out;
+      for (const ParamRef& p : input_only.params()) out.push_back(*p.grad);
+      return out;
+    }();
+    input_only.forward_batch(x);
+    const Matrix& dx_in = input_only.backward_batch(g, Grad::Input);
+    ASSERT_EQ(dx_in.rows(), dx.rows());
+    ASSERT_EQ(dx_in.cols(), dx.cols());
+    expect_bits(dx_in.data().data(), dx.data().data(), dx.size(),
+                "Grad::Input dX");
+    const auto after = input_only.params();
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      expect_bits(after[i].grad->data(), before[i].data(), before[i].size(),
+                  "Grad::Input left grad " + after[i].name);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ActivationsAndBatchSizes, BatchEquivalence,
     ::testing::Combine(::testing::Values(Activation::Tanh, Activation::ReLU),
@@ -208,6 +267,140 @@ TEST(PpoMinibatchStep, BatchedStepMatchesPerSampleStep) {
   }
   expect_bitwise(per_sample.get_flat_params(), batched.get_flat_params(),
                  "post-step params");
+}
+
+// ---------------------------------------------------------------------------
+// The row kernels around the GEMM, against the scalar code they replaced.
+
+/// The deleted linalg passes the forward used to run after its GEMM,
+/// kept as references: m(r, c) += bias[c], then the activation in place.
+void reference_add_bias(Matrix& m, const Vec& bias) {
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) += bias[c];
+}
+void reference_apply_tanh(Matrix& m) {
+  for (double& v : m.data()) v = std::tanh(v);
+}
+void reference_apply_relu(Matrix& m) {
+  for (double& v : m.data()) v = v > 0.0 ? v : 0.0;
+}
+
+/// Values where IEEE corner cases live: signed zeros, NaN, infinities,
+/// subnormals, and the normal range on both sides.
+std::vector<double> special_values() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  return {0.0, -0.0, nan, -nan, inf, -inf, sub, -sub, 1e-310, -1e-310,
+          0.5, -0.5, 3.0, -3.0, 1e300, -1e300, 2.5e-320};
+}
+
+TEST(RowKernels, BiasActivationMatchesAddBiasThenActivation) {
+  const std::vector<double> special = special_values();
+  Rng rng(37);
+  // 19 columns: four-wide vector bodies plus a tail, whatever the width.
+  const std::size_t rows = 7, cols = 19;
+  Matrix z(rows, cols);
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    z.data()[i] = i % 3 == 0 ? special[i % special.size()] : rng.normal(0.0, 2.0);
+  }
+  Vec bias(cols);
+  for (std::size_t c = 0; c < cols; ++c) bias[c] = c % 4 == 0 ? -0.0 : rng.normal(0.0, 1.0);
+
+  for (const int mode : {0, 1, 2}) {  // output layer, ReLU, tanh
+    Matrix expected = z;
+    reference_add_bias(expected, bias);
+    Matrix got = z;
+    if (mode == 0) {
+      bias_activation(got, bias, std::nullopt);
+    } else if (mode == 1) {
+      reference_apply_relu(expected);
+      bias_activation(got, bias, Activation::ReLU);
+    } else {
+      reference_apply_tanh(expected);
+      bias_activation(got, bias, Activation::Tanh);
+    }
+    expect_bits(got.data().data(), expected.data().data(), got.size(),
+                "bias_activation mode " + std::to_string(mode));
+  }
+  Matrix narrow(2, cols - 1);
+  EXPECT_THROW(bias_activation(narrow, bias, Activation::ReLU), InvalidArgument);
+}
+
+TEST(RowKernels, ReluMaskMatchesTheScalarTernary) {
+  const std::vector<double> special = special_values();
+  Rng rng(41);
+  // Every length from empty to past two vector bodies, so each lane
+  // position and every tail length sees every special activation.
+  for (std::size_t n = 0; n <= 11; ++n) {
+    for (std::size_t shift = 0; shift < special.size(); ++shift) {
+      std::vector<double> a(n), d(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = special[(i + shift) % special.size()];
+        // The upstream gradient takes specials too: inf * 0 is NaN and
+        // -x * 0 is -0.0, which a mask that skipped the multiply would miss.
+        d[i] = (i + shift) % 4 == 0 ? special[(3 * i + shift) % special.size()]
+                                    : rng.normal(0.0, 1.0);
+      }
+      std::vector<double> expected = d;
+      for (std::size_t i = 0; i < n; ++i) expected[i] *= a[i] > 0.0 ? 1.0 : 0.0;
+      relu_mask(d.data(), a.data(), n);
+      expect_bits(d.data(), expected.data(), n,
+                  "relu_mask n=" + std::to_string(n) + " shift=" + std::to_string(shift));
+    }
+  }
+}
+
+// Adam::step runs vectorised; IEEE division and square root are correctly
+// rounded at every width, so it must equal the scalar loop bit for bit —
+// on zero, subnormal and huge gradients too (g * g overflows to inf for
+// the largest, and the update then rounds to zero).
+TEST(RowKernels, AdamStepMatchesTheScalarLoop) {
+  const double lr = 3e-4, b1 = 0.9, b2 = 0.999, eps = 1e-8;
+  const std::vector<double> special = {0.0, -0.0, 4.9e-324, -1e-310, 1e-300,
+                                       1e154, -1e154, 1e200, -1e300, 1e308};
+  Rng rng(43);
+  // Buffer lengths spanning a vector body and every tail.
+  const std::vector<std::size_t> lengths = {1, 3, 4, 5, 8, 13, 69};
+  // Weights on the scale of one update, so that an update one ulp off
+  // moves the weight's bits instead of rounding away.
+  std::vector<Vec> w(lengths.size()), g(lengths.size());
+  for (std::size_t b = 0; b < lengths.size(); ++b) {
+    w[b].resize(lengths[b]);
+    g[b].resize(lengths[b]);
+    for (double& v : w[b]) v = rng.normal(0.0, 1e-3);
+  }
+  std::vector<Vec> ref_w = w, ref_m, ref_v;
+  for (const Vec& x : w) {
+    ref_m.emplace_back(x.size(), 0.0);
+    ref_v.emplace_back(x.size(), 0.0);
+  }
+  std::vector<ParamRef> refs;
+  for (std::size_t b = 0; b < w.size(); ++b) refs.push_back({&w[b], &g[b], "p"});
+  Adam opt(refs, lr, b1, b2, eps);
+
+  for (std::size_t t = 1; t <= 5; ++t) {
+    for (std::size_t b = 0; b < g.size(); ++b) {
+      for (std::size_t j = 0; j < g[b].size(); ++j) {
+        g[b][j] = (j + t) % 3 == 0 ? special[(j + b + t) % special.size()]
+                                   : rng.normal(0.0, 1.0);
+      }
+    }
+    opt.step();
+    const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t));
+    for (std::size_t b = 0; b < g.size(); ++b) {
+      for (std::size_t j = 0; j < g[b].size(); ++j) {
+        ref_m[b][j] = b1 * ref_m[b][j] + (1.0 - b1) * g[b][j];
+        ref_v[b][j] = b2 * ref_v[b][j] + (1.0 - b2) * g[b][j] * g[b][j];
+        const double mhat = ref_m[b][j] / bc1;
+        const double vhat = ref_v[b][j] / bc2;
+        ref_w[b][j] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      expect_bits(w[b].data(), ref_w[b].data(), w[b].size(),
+                  "step " + std::to_string(t) + " buffer " + std::to_string(b));
+    }
+  }
 }
 
 TEST(BatchApi, BackwardWithoutForwardThrows) {

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "darl/common/error.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/pendulum.hpp"
+#include "darl/obs/trace.hpp"
 #include "darl/rl/checkpoint.hpp"
 #include "darl/rl/evaluate.hpp"
 #include "darl/rl/factory.hpp"
@@ -484,6 +487,94 @@ TEST(SacTrain, SameSeedAndDataGiveIdenticalUpdates) {
   EXPECT_EQ(sa.policy_loss, sb.policy_loss);
   EXPECT_EQ(a->policy_params(), b->policy_params());
   EXPECT_NE(a->policy_params(), before);
+}
+
+/// n transitions of `env` under `actor`, resetting at episode ends.
+WorkerBatch rollout(env::Env& env, RolloutActor& actor, Rng& rng,
+                    std::size_t n) {
+  WorkerBatch batch;
+  Vec obs = env.reset();
+  for (std::size_t i = 0; i < n; ++i) {
+    const ActOutput a = actor.act(obs, rng);
+    const env::StepResult r = env.step(a.action);
+    Transition t;
+    t.obs = obs;
+    t.action = a.action;
+    t.reward = r.reward;
+    t.next_obs = r.observation;
+    t.terminated = r.terminated;
+    t.truncated = r.truncated;
+    t.log_prob = a.log_prob;
+    batch.transitions.push_back(t);
+    obs = r.done() ? env.reset() : r.observation;
+  }
+  return batch;
+}
+
+/// The span names a traced call of `train` records.
+template <class F>
+std::set<std::string> traced_span_names(F&& train) {
+  obs::clear_spans();
+  obs::set_tracing_enabled(true);
+  train();
+  obs::set_tracing_enabled(false);
+  std::set<std::string> names;
+  for (const obs::SpanRecord& s : obs::collect_spans()) names.insert(s.name);
+  obs::clear_spans();
+  return names;
+}
+
+// A traced learner says where its update goes: each phase of one update
+// is a named span.
+TEST(LearnerSpans, TracedSacTrainEmitsItsFiveUpdatePhases) {
+  AlgorithmSpec spec;
+  spec.kind = AlgoKind::SAC;
+  spec.sac.warmup_steps = 32;
+  spec.sac.batch_size = 16;
+  auto algo =
+      make_algorithm(spec, 3, env::ActionSpace(env::BoxSpace(1, -2.0, 2.0)), 13);
+  auto actor = algo->make_actor();
+  auto env = env::make_pendulum_factory(50)();
+  env->seed(2);
+  Rng rng(3);
+  const WorkerBatch batch = rollout(*env, *actor, rng, 64);
+  const std::set<std::string> names =
+      traced_span_names([&] { EXPECT_GT(algo->train({batch}).gradient_steps, 0u); });
+  for (const char* name : {"rl.sac.target", "rl.sac.critic", "rl.sac.actor",
+                           "rl.sac.alpha", "rl.sac.polyak"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
+}
+
+TEST(LearnerSpans, TracedPpoTrainEmitsAdvantagesAndEpochs) {
+  AlgorithmSpec spec;
+  spec.kind = AlgoKind::PPO;
+  spec.ppo.epochs = 2;
+  spec.ppo.minibatch_size = 16;
+  auto algo = make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 11);
+  auto actor = algo->make_actor();
+  auto env = env::make_cartpole_factory(50)();
+  env->seed(1);
+  Rng rng(1);
+  const WorkerBatch batch = rollout(*env, *actor, rng, 64);
+  const std::set<std::string> names =
+      traced_span_names([&] { EXPECT_GT(algo->train({batch}).gradient_steps, 0u); });
+  EXPECT_EQ(names.count("rl.ppo.advantages"), 1u);
+  EXPECT_EQ(names.count("rl.ppo.epoch"), 1u);
+}
+
+TEST(LearnerSpans, TracedImpalaTrainEmitsItsVtracePass) {
+  AlgorithmSpec spec;
+  spec.kind = AlgoKind::IMPALA;
+  auto algo = make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 11);
+  auto actor = algo->make_actor();
+  auto env = env::make_cartpole_factory(50)();
+  env->seed(1);
+  Rng rng(1);
+  const WorkerBatch batch = rollout(*env, *actor, rng, 32);
+  const std::set<std::string> names =
+      traced_span_names([&] { algo->train({batch}); });
+  EXPECT_EQ(names.count("rl.impala.vtrace"), 1u);
 }
 
 TEST(Checkpoint, RoundTripPreservesPolicyBehaviour) {

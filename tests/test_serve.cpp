@@ -462,6 +462,39 @@ TEST(Serve, HotSwapUnderLoadServesEachRequestFromOneVersion) {
   EXPECT_EQ(after.version, 2u);
 }
 
+// A version that changes a served tenant's interface is refused at
+// publish: the tenant's schedulers were sized by the version they were
+// built with, and a worker thread would otherwise die on the first request
+// after the swap. Nothing is stored, and the live version keeps serving.
+TEST(Serve, PublishRefusesAVersionThatChangesTheTenantsInterface) {
+  PolicyStore store;
+  PolicySpec v1 = make_discrete_spec(71);
+  v1.sizes = {4, 8, 3};
+  Rng init(71);
+  v1.net_params = nn::Mlp(v1.sizes, v1.activation, init).get_flat_params();
+  store.publish(v1);
+  BatchScheduler server(store, ServeConfig{});
+
+  PolicySpec wider_input = v1;
+  wider_input.sizes = {5, 8, 3};
+  wider_input.net_params =
+      nn::Mlp(wider_input.sizes, wider_input.activation, init).get_flat_params();
+  ASSERT_THROW(store.publish(wider_input), InvalidArgument);
+
+  // One encoded action index before, a 2-dim box action after.
+  ASSERT_THROW(store.publish(make_box_spec(73)), InvalidArgument);
+
+  EXPECT_EQ(store.version_count(), 1u);
+  const Response served = server.serve(Vec{0.1, -0.2, 0.3, -0.4});
+  EXPECT_EQ(served.outcome, Outcome::Ok);
+  EXPECT_EQ(served.version, 1u);
+  EXPECT_TRUE(bitwise_equal(served.action,
+                            DirectPolicy(v1).act(Vec{0.1, -0.2, 0.3, -0.4})));
+
+  // A version with the same interface still swaps in.
+  EXPECT_EQ(store.publish(make_discrete_spec(72)), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Shutdown
 

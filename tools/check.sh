@@ -14,12 +14,14 @@
 #                    under locks, cv-wait predicates, atomic orderings
 #                    (suppressions in tools/darl_verify.supp)
 #   3. build/        Release-style tree, full ctest suite
-#   4. build-noavx/  darl_linalg without -mavx (DARL_LINALG_AVX=OFF),
-#                    benches and examples off: builds and runs only
-#                    test_linalg and test_nn_batch, so the portable
-#                    4-wide gemm instantiation (SSE2 pairs there) keeps
-#                    its bits in the one configuration no other tree
-#                    compiles
+#   4. build-noavx/  darl_linalg and darl_nn without -mavx
+#                    (DARL_LINALG_AVX=OFF), benches and examples off:
+#                    builds and runs test_linalg, test_nn_batch, test_rl
+#                    and the pinned TrainResult digests of
+#                    test_frameworks, so the portable 4-wide gemm
+#                    instantiation, the SSE2 elementwise passes and Adam
+#                    keep their bits in the one configuration no other
+#                    tree compiles
 #   5. clang-tidy    optional second opinion (no-ops when absent);
 #                    thread-safety + concurrency findings are errors
 #   6. build-ubsan/  UndefinedBehaviorSanitizer tree (DARL_SANITIZE=
@@ -116,12 +118,15 @@ stage "darl_verify (concurrency discipline)"
 stage "build/ (plain tree + ctest)"
 run_tree build "" "$@"
 
-stage "build-noavx/ (portable 4-wide gemm path, DARL_LINALG_AVX=OFF)"
+stage "build-noavx/ (portable gemm and learner passes, DARL_LINALG_AVX=OFF)"
 cmake -B build-noavx -S . -DDARL_LINALG_AVX=OFF -DDARL_BUILD_BENCHMARKS=OFF \
     -DDARL_BUILD_EXAMPLES=OFF > /dev/null
-cmake --build build-noavx -j "$JOBS" --target test_linalg test_nn_batch
+cmake --build build-noavx -j "$JOBS" \
+    --target test_linalg test_nn_batch test_rl test_frameworks
 ./build-noavx/tests/test_linalg
 ./build-noavx/tests/test_nn_batch
+./build-noavx/tests/test_rl
+./build-noavx/tests/test_frameworks --gtest_filter='Backends.TrainResultBitsArePinned'
 
 stage "clang-tidy (optional)"
 tools/run_clang_tidy.sh build
