@@ -25,17 +25,6 @@ namespace darl::frameworks {
 
 namespace {
 
-/// The hidden sizes the algorithm spec would build with (only the block
-/// matching `kind` is read — mirrors rl::make_algorithm).
-std::vector<std::size_t> hidden_of(const rl::AlgorithmSpec& spec) {
-  switch (spec.kind) {
-    case rl::AlgoKind::PPO: return spec.ppo.hidden;
-    case rl::AlgoKind::SAC: return spec.sac.hidden;
-    case rl::AlgoKind::IMPALA: return spec.impala.hidden;
-  }
-  throw InvalidArgument("unknown AlgoKind");
-}
-
 /// Directory holding the running executable (via /proc/self/exe), used to
 /// resolve the default darl_worker binary next to darl_study.
 std::string self_exe_dir() {
@@ -245,7 +234,8 @@ SocketNodes::SocketNodes(const DistributedOptions& options, const Run& run)
   // Ship each actor its job, then start its reader.
   net::JobMsg job;
   job.algo = algo_;
-  job.hidden = hidden_of(run.request.algo);
+  const std::vector<std::size_t>& sizes = run.algo.shape().sizes;
+  job.hidden.assign(sizes.begin() + 1, sizes.end() - 1);
   job.seed = run.request.seed;
   job.nodes = nodes_;
   job.cores = cores_;

@@ -66,19 +66,8 @@ void expect_tag(std::istream& is, const char* tag, const char* msg) {
   }
 }
 
-const char* algo_tag(rl::AlgoKind kind) {
-  switch (kind) {
-    case rl::AlgoKind::PPO: return "PPO";
-    case rl::AlgoKind::SAC: return "SAC";
-    case rl::AlgoKind::IMPALA: return "IMPALA";
-  }
-  throw WireError("net: unknown AlgoKind");
-}
-
 rl::AlgoKind algo_from_tag(const std::string& tag) {
-  if (tag == "PPO") return rl::AlgoKind::PPO;
-  if (tag == "SAC") return rl::AlgoKind::SAC;
-  if (tag == "IMPALA") return rl::AlgoKind::IMPALA;
+  if (const auto kind = rl::algo_from_name(tag)) return *kind;
   throw WireError("net: unknown algorithm tag '" + tag + "'");
 }
 
@@ -118,7 +107,7 @@ HelloMsg decode_hello(const std::string& payload) {
 
 std::string encode_job(const JobMsg& msg) {
   auto os = make_writer();
-  os << "job " << algo_tag(msg.algo) << '\n';
+  os << "job " << rl::algo_name(msg.algo) << '\n';
   os << "hidden " << msg.hidden.size();
   for (const std::size_t h : msg.hidden) os << ' ' << h;
   os << '\n';

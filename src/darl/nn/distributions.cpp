@@ -109,21 +109,19 @@ void DiagGaussian::log_prob_grad(const Vec& mean, const Vec& log_std,
   }
 }
 
-SquashedGaussian::Draw SquashedGaussian::sample(const Vec& mean,
-                                                const Vec& log_std, Rng& rng) {
+void SquashedGaussian::sample(const Vec& mean, const Vec& log_std, Rng& rng,
+                              Draw& out) {
   DARL_CHECK(mean.size() == log_std.size(), "mean/log_std size mismatch");
-  Draw d;
   const std::size_t n = mean.size();
-  d.noise.resize(n);
-  d.pre_tanh.resize(n);
-  d.action.resize(n);
+  out.noise.resize(n);
+  out.pre_tanh.resize(n);
+  out.action.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    d.noise[i] = rng.normal();
-    d.pre_tanh[i] = mean[i] + std::exp(log_std[i]) * d.noise[i];
-    d.action[i] = std::tanh(d.pre_tanh[i]);
+    out.noise[i] = rng.normal();
+    out.pre_tanh[i] = mean[i] + std::exp(log_std[i]) * out.noise[i];
+    out.action[i] = std::tanh(out.pre_tanh[i]);
   }
-  d.log_prob = log_prob(mean, log_std, d.pre_tanh);
-  return d;
+  out.log_prob = log_prob(mean, log_std, out.pre_tanh);
 }
 
 double SquashedGaussian::log_prob(const Vec& mean, const Vec& log_std,

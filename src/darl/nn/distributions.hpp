@@ -69,8 +69,9 @@ struct SquashedGaussian {
     double log_prob = 0.0;
   };
 
-  /// Reparameterized sample.
-  static Draw sample(const Vec& mean, const Vec& log_std, Rng& rng);
+  /// Reparameterized sample into `out`, whose vectors keep their
+  /// capacity from draw to draw.
+  static void sample(const Vec& mean, const Vec& log_std, Rng& rng, Draw& out);
 
   /// log-probability of an existing draw (recomputed from z).
   static double log_prob(const Vec& mean, const Vec& log_std,

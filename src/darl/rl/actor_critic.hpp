@@ -1,42 +1,26 @@
 // darl/rl/actor_critic.hpp
 //
-// The learner PPO and IMPALA share: a stochastic policy network from
-// policy_shape() (categorical logits, or a Gaussian mean beside a
-// state-independent log-std) with a tanh state-value critic of the same
-// hidden shape, one Adam optimizer each, the actor their rollout workers
-// act with, and the per-sample pieces of a policy-gradient step. Each
-// derived learner keeps only its own loss: PPO's clipped surrogate over
-// minibatch epochs, IMPALA's V-trace single pass.
+// The learner PPO and IMPALA share: beside the policy every Algorithm
+// owns (categorical logits, or a Gaussian mean with a state-independent
+// log-std), a tanh state-value critic of the same hidden shape with its
+// own Adam optimizer, and the per-sample pieces of a policy-gradient step.
+// Each derived learner keeps only its own loss: PPO's clipped surrogate
+// over minibatch epochs, IMPALA's V-trace single pass.
 
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "darl/common/rng.hpp"
-#include "darl/nn/mlp.hpp"
-#include "darl/nn/optimizer.hpp"
 #include "darl/rl/algorithm.hpp"
-#include "darl/rl/policy.hpp"
 
 namespace darl::rl {
 
 /// Policy-gradient learner with a state-value critic. See Algorithm for
-/// the role split.
+/// the role split and the policy.
 class ActorCritic : public Algorithm {
- public:
-  AlgoKind kind() const override { return kind_; }
-  std::unique_ptr<RolloutActor> make_actor() const override;
-  Vec policy_params() const override;
-  std::size_t params_bytes() const override;
-  std::size_t transition_bytes() const override;
-
-  // The optimizers hold pointers into this object's parameters.
-  ActorCritic(const ActorCritic&) = delete;
-  ActorCritic& operator=(const ActorCritic&) = delete;
-
  protected:
-  /// Builds the actor from rng split 1 and the critic from split 2.
+  /// Builds the policy (Algorithm) and the critic from rng split 2.
   ActorCritic(AlgoKind kind, std::size_t obs_dim,
               env::ActionSpace action_space,
               const std::vector<std::size_t>& hidden, double learning_rate,
@@ -69,20 +53,11 @@ class ActorCritic : public Algorithm {
   /// Clip each network's gradient norm, then take one Adam step on both.
   void clip_and_step(double max_grad_norm);
 
-  // Initialized in declaration order: the shape sizes the actor.
-  PolicyShape shape_;
-  std::size_t obs_dim_;
-  env::ActionSpace action_space_;
-  Rng rng_;
-  nn::Mlp actor_;
   nn::Mlp critic_;
   Matrix stream_obs_;  ///< observations of the last critic_pass() stream
 
  private:
-  AlgoKind kind_;
-  Vec log_std_, log_std_grad_;  // Gaussian head only
-  std::vector<nn::ParamRef> actor_params_;  // actor_ then log_std_
-  std::unique_ptr<nn::Adam> actor_opt_, critic_opt_;
+  std::unique_ptr<nn::Adam> critic_opt_;
 
   // Reusable staging; capacity grows to the largest stream seen.
   Matrix boot_obs_;

@@ -18,9 +18,7 @@ constexpr const char* kMagicV2 = "darl-checkpoint-v2";
 constexpr const char* kDigestKey = "fnv1a64";
 
 AlgoKind parse_algo(const std::string& algo) {
-  if (algo == "PPO") return AlgoKind::PPO;
-  if (algo == "SAC") return AlgoKind::SAC;
-  if (algo == "IMPALA") return AlgoKind::IMPALA;
+  if (const auto kind = algo_from_name(algo)) return *kind;
   throw CheckpointError("unknown checkpoint algorithm '" + algo + "'");
 }
 

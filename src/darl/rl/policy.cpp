@@ -5,6 +5,7 @@
 
 #include "darl/common/error.hpp"
 #include "darl/common/kernel.hpp"
+#include "darl/nn/distributions.hpp"
 
 namespace darl::rl {
 
@@ -80,14 +81,84 @@ DARL_KERNEL void greedy_action(PolicyHead head, const env::ActionSpace& space,
       return;
     }
     case PolicyHead::SquashedGaussian: {
-      // tanh of the mean half, mapped affinely from [-1, 1] into the box.
+      // tanh of the mean half, mapped into the box.
       const env::BoxSpace& box = space.box();
-      for (std::size_t i = 0; i < box.dim(); ++i) {
-        out[i] = box.low()[i] +
-                 0.5 * (std::tanh(row[i]) + 1.0) * (box.high()[i] - box.low()[i]);
-      }
+      for (std::size_t i = 0; i < box.dim(); ++i) out[i] = std::tanh(row[i]);
+      squash_to_box(box, out, out);
       return;
     }
+  }
+}
+
+double head_log_prob(PolicyHead head, const env::ActionSpace& space,
+                     const Vec& row, const Vec& tail, const Vec& action) {
+  switch (head) {
+    case PolicyHead::Categorical:
+      return nn::Categorical::log_prob(row, space.discrete().decode(action));
+    case PolicyHead::Gaussian:
+      return nn::DiagGaussian::log_prob(row, tail, action);
+    case PolicyHead::SquashedGaussian:
+      break;
+  }
+  throw InvalidArgument("a squashed head scores its pre-tanh draw, not an action");
+}
+
+ActOutput sample_action(PolicyHead head, const env::ActionSpace& space,
+                        const Vec& row, const Vec& tail, Rng& rng) {
+  ActOutput out;
+  switch (head) {
+    case PolicyHead::Categorical:
+      out.action = space.discrete().encode(nn::Categorical::sample(row, rng));
+      break;
+    case PolicyHead::Gaussian:
+      out.action = space.box().clip(nn::DiagGaussian::sample(row, tail, rng));
+      break;
+    case PolicyHead::SquashedGaussian: {
+      Vec mean, log_std;
+      split_squashed(row.data(), space.box().dim(), mean, log_std);
+      nn::SquashedGaussian::Draw draw;
+      nn::SquashedGaussian::sample(mean, log_std, rng, draw);
+      out.action.resize(mean.size());
+      squash_to_box(space.box(), draw.action.data(), out.action.data());
+      out.log_prob = draw.log_prob;
+      return out;
+    }
+  }
+  out.log_prob = head_log_prob(head, space, row, tail, out.action);
+  return out;
+}
+
+void split_squashed(const double* row, std::size_t dim, Vec& mean,
+                    Vec& log_std) {
+  mean.assign(row, row + dim);
+  log_std.resize(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    log_std[i] = kSquashedLogStdMin +
+                 0.5 * (kSquashedLogStdMax - kSquashedLogStdMin) *
+                     (std::tanh(row[dim + i]) + 1.0);
+  }
+}
+
+double squashed_log_std_slope(double raw) {
+  const double t = std::tanh(raw);
+  return 0.5 * (kSquashedLogStdMax - kSquashedLogStdMin) * (1.0 - t * t);
+}
+
+void squash_to_box(const env::BoxSpace& box, const double* squashed,
+                   double* out) {
+  for (std::size_t i = 0; i < box.dim(); ++i) {
+    out[i] = box.low()[i] +
+             0.5 * (squashed[i] + 1.0) * (box.high()[i] - box.low()[i]);
+  }
+}
+
+void box_to_squash(const env::BoxSpace& box, const double* action,
+                   double* out) {
+  for (std::size_t i = 0; i < box.dim(); ++i) {
+    const double span = box.high()[i] - box.low()[i];
+    const double v =
+        span > 0.0 ? 2.0 * (action[i] - box.low()[i]) / span - 1.0 : 0.0;
+    out[i] = std::clamp(v, -0.999999, 0.999999);
   }
 }
 

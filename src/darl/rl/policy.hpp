@@ -2,18 +2,20 @@
 //
 // The one definition of each learner's policy network that training,
 // acting and serving share: its shape (layer sizes, hidden activation,
-// head kind, trailing non-network parameters) and the greedy decode that
-// turns one head row into an action. PPO, IMPALA and SAC build their
-// actor networks from policy_shape(); every actor's act_greedy() and the
-// serving layer (serve::DirectPolicy, serve::BatchScheduler) decode
-// through greedy_action(), so a served action is the trained actor's
-// greedy action bit for bit.
+// head kind, trailing non-network parameters) and each head's math.
+// rl::Algorithm builds every actor network from policy_shape();
+// RolloutActor samples through sample_action(), scored by the same
+// head_log_prob() PPO and IMPALA train on; the serving layer
+// (serve::DirectPolicy, serve::BatchScheduler) decodes through
+// greedy_action() as act_greedy() does, so a served action is the trained
+// actor's greedy action bit for bit.
 
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "darl/common/rng.hpp"
 #include "darl/env/space.hpp"
 #include "darl/nn/mlp.hpp"
 #include "darl/rl/types.hpp"
@@ -31,6 +33,11 @@ enum class PolicyHead {
   /// Gaussian mean ‖ raw log-std, the mean tanh-squashed into a box (SAC).
   SquashedGaussian,
 };
+
+/// The squashed head's raw log-std is softly clamped into
+/// [kSquashedLogStdMin, kSquashedLogStdMax] through tanh.
+inline constexpr double kSquashedLogStdMin = -5.0;
+inline constexpr double kSquashedLogStdMax = 2.0;
 
 /// Everything about one learner's policy network.
 struct PolicyShape {
@@ -65,5 +72,37 @@ PolicyShape policy_shape(AlgoKind kind, std::size_t obs_dim,
 /// encoding) to `out`; no allocation, no rng.
 void greedy_action(PolicyHead head, const env::ActionSpace& space,
                    const double* row, double* out);
+
+/// log pi(action | row) of an env-encoded action under a categorical or
+/// Gaussian head; `tail` is the Gaussian log-std (empty for a categorical
+/// head). Throws InvalidArgument for the squashed head, whose density
+/// lives on its pre-tanh draw (nn::SquashedGaussian).
+double head_log_prob(PolicyHead head, const env::ActionSpace& space,
+                     const Vec& row, const Vec& tail, const Vec& action);
+
+/// One stochastic action for a head row: a category, a Gaussian draw
+/// clipped into the box, or a squashed draw mapped into the box (env
+/// encoding). A categorical or Gaussian action carries head_log_prob() of
+/// the action returned; a squashed one the log-density of its draw.
+ActOutput sample_action(PolicyHead head, const env::ActionSpace& space,
+                        const Vec& row, const Vec& tail, Rng& rng);
+
+/// Split a squashed head row (2 * dim values) into its mean and its
+/// softly clamped log-std.
+void split_squashed(const double* row, std::size_t dim, Vec& mean,
+                    Vec& log_std);
+
+/// Derivative of split_squashed()'s clamped log-std with respect to the
+/// raw value `raw` it was read from.
+double squashed_log_std_slope(double raw);
+
+/// Affine map of a squashed action in [-1, 1]^dim into the box.
+void squash_to_box(const env::BoxSpace& box, const double* squashed,
+                   double* out);
+
+/// Its inverse for an action of the box, held inside (-1, 1), the range
+/// of a squashed draw (0 on a zero-width dimension).
+void box_to_squash(const env::BoxSpace& box, const double* action,
+                   double* out);
 
 }  // namespace darl::rl

@@ -23,14 +23,12 @@ void ReplayBuffer::push(const Transition& t) {
   DARL_COUNTER_ADD("replay.push", 1);
 }
 
-std::vector<const Transition*> ReplayBuffer::sample(std::size_t n,
-                                                    Rng& rng) const {
+void ReplayBuffer::sample(std::size_t n, Rng& rng,
+                          std::vector<const Transition*>& out) const {
   DARL_CHECK(!empty(), "sampling from an empty replay buffer");
   DARL_COUNTER_ADD("replay.sample", n);
-  std::vector<const Transition*> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(&storage_[rng.index(size_)]);
-  return out;
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = &storage_[rng.index(size_)];
 }
 
 const Transition& ReplayBuffer::at(std::size_t index) const {

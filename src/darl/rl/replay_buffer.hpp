@@ -30,9 +30,10 @@ class ReplayBuffer {
   std::size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
 
-  /// Sample `n` transitions uniformly with replacement. Requires a
-  /// non-empty buffer. Returned pointers remain valid until the next push.
-  std::vector<const Transition*> sample(std::size_t n, Rng& rng) const;
+  /// Sample `n` transitions uniformly with replacement into `out`
+  /// (replacing its contents). Requires a non-empty buffer. The pointers
+  /// remain valid until the next push.
+  void sample(std::size_t n, Rng& rng, std::vector<const Transition*>& out) const;
 
   /// Access by age-independent slot index (for tests).
   const Transition& at(std::size_t index) const;

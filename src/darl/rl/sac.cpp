@@ -9,102 +9,13 @@
 #include "darl/rl/policy.hpp"
 
 namespace darl::rl {
-namespace {
-
-/// Split one actor head row into its mean and its log-std, the raw
-/// log-std softly clamped into [lo, hi] through tanh.
-void split_head(const double* head, std::size_t dim, double lo, double hi,
-                Vec& mean, Vec& log_std) {
-  mean.assign(head, head + dim);
-  log_std.resize(dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    log_std[i] = lo + 0.5 * (hi - lo) * (std::tanh(head[dim + i]) + 1.0);
-  }
-}
-
-/// Affine map between the squashed action in [-1,1]^d and the env box.
-Vec scale_to_box(const Vec& squashed, const env::BoxSpace& box) {
-  Vec out(squashed.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = box.low()[i] +
-             0.5 * (squashed[i] + 1.0) * (box.high()[i] - box.low()[i]);
-  }
-  return out;
-}
-
-Vec unscale_from_box(const Vec& env_action, const env::BoxSpace& box) {
-  Vec out(env_action.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double span = box.high()[i] - box.low()[i];
-    const double v = span > 0.0
-                         ? 2.0 * (env_action[i] - box.low()[i]) / span - 1.0
-                         : 0.0;
-    out[i] = std::clamp(v, -0.999999, 0.999999);
-  }
-  return out;
-}
-
-/// Inference-only SAC policy for rollout workers.
-class SacActor final : public RolloutActor {
- public:
-  SacActor(const nn::Mlp& actor, env::ActionSpace space, double log_std_min,
-           double log_std_max)
-      : net_(actor),
-        space_(std::move(space)),
-        lo_(log_std_min),
-        hi_(log_std_max) {}
-
-  void set_params(const Vec& flat) override { net_.set_flat_params(flat); }
-
-  ActOutput act(const Vec& obs, Rng& rng) override {
-    const Vec head = net_.evaluate(obs);
-    Vec mean, log_std;
-    split_head(head.data(), head.size() / 2, lo_, hi_, mean, log_std);
-    const auto draw = nn::SquashedGaussian::sample(mean, log_std, rng);
-    ActOutput out;
-    out.action = scale_to_box(draw.action, space_.box());
-    out.log_prob = draw.log_prob;
-    return out;
-  }
-
-  Vec act_greedy(const Vec& obs) override {
-    const Vec head = net_.evaluate(obs);
-    Vec action(space_.action_dim());
-    greedy_action(PolicyHead::SquashedGaussian, space_, head.data(),
-                  action.data());
-    return action;
-  }
-
-  double inference_cost_mflop() const override {
-    return net_.flops_per_forward() / 1e6;
-  }
-
- private:
-  nn::Mlp net_;
-  env::ActionSpace space_;
-  double lo_, hi_;
-};
-
-}  // namespace
 
 SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                            SacConfig config, std::uint64_t seed)
-    : obs_dim_(obs_dim),
-      act_dim_([&] {
-        DARL_CHECK(action_space.is_box(),
-                   "SAC requires a continuous action space, got "
-                       << action_space.describe());
-        return action_space.box().dim();
-      }()),
-      action_space_(std::move(action_space)),
+    : Algorithm(AlgoKind::SAC, obs_dim, std::move(action_space), config.hidden,
+                config.learning_rate, /*log_std_init=*/0.0, seed),
+      act_dim_(action_space_.box().dim()),
       config_(std::move(config)),
-      rng_(seed),
-      actor_([&] {
-        Rng init = rng_.split(1);
-        const PolicyShape shape = policy_shape(AlgoKind::SAC, obs_dim,
-                                               action_space_, config_.hidden);
-        return nn::Mlp(shape.sizes, shape.activation, init);
-      }()),
       q1_([&] {
         Rng init = rng_.split(2);
         return nn::Mlp(mlp_sizes(obs_dim + act_dim_, config_.hidden, 1),
@@ -117,8 +28,11 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
       }()),
       q1_target_(q1_),
       q2_target_(q2_),
+      q1_params_(q1_.params()),
+      q2_params_(q2_.params()),
+      q1_target_params_(q1_target_.params()),
+      q2_target_params_(q2_target_.params()),
       replay_(config_.replay_capacity) {
-  DARL_CHECK(obs_dim > 0, "obs_dim must be positive");
   DARL_CHECK(config_.batch_size > 0, "batch_size must be positive");
   DARL_CHECK(config_.tau > 0.0 && config_.tau <= 1.0, "tau out of (0,1]");
   DARL_CHECK(config_.updates_per_step >= 0.0, "updates_per_step negative");
@@ -140,9 +54,8 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                         ? config_.target_entropy
                         : -static_cast<double>(act_dim_);
 
-  actor_opt_ = std::make_unique<nn::Adam>(actor_.params(), config_.learning_rate);
-  q1_opt_ = std::make_unique<nn::Adam>(q1_.params(), config_.learning_rate);
-  q2_opt_ = std::make_unique<nn::Adam>(q2_.params(), config_.learning_rate);
+  q1_opt_ = std::make_unique<nn::Adam>(q1_params_, config_.learning_rate);
+  q2_opt_ = std::make_unique<nn::Adam>(q2_params_, config_.learning_rate);
   alpha_opt_ = std::make_unique<nn::Adam>(
       std::vector<nn::ParamRef>{{&log_alpha_, &log_alpha_grad_, "log_alpha"}},
       config_.learning_rate);
@@ -150,27 +63,11 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
 
 double SacAlgorithm::alpha() const { return std::exp(log_alpha_[0]); }
 
-std::unique_ptr<RolloutActor> SacAlgorithm::make_actor() const {
-  return std::make_unique<SacActor>(actor_, action_space_,
-                                    config_.log_std_min, config_.log_std_max);
-}
-
-Vec SacAlgorithm::policy_params() const { return actor_.get_flat_params(); }
-
-std::size_t SacAlgorithm::params_bytes() const {
-  return actor_.param_count() * sizeof(double);
-}
-
-std::size_t SacAlgorithm::transition_bytes() const {
-  return (2 * obs_dim_ + act_dim_ + 4) * sizeof(double);
-}
-
 void SacAlgorithm::polyak_update() {
   // Blend each target buffer in place against its online twin.
   const double tau = config_.tau;
-  const auto blend = [tau](nn::Mlp& target, nn::Mlp& online) {
-    const std::vector<nn::ParamRef> tp = target.params();
-    const std::vector<nn::ParamRef> op = online.params();
+  const auto blend = [tau](const std::vector<nn::ParamRef>& tp,
+                           const std::vector<nn::ParamRef>& op) {
     for (std::size_t b = 0; b < tp.size(); ++b) {
       Vec& tv = *tp[b].value;
       const Vec& ov = *op[b].value;
@@ -178,21 +75,25 @@ void SacAlgorithm::polyak_update() {
         tv[i] = (1.0 - tau) * tv[i] + tau * ov[i];
     }
   };
-  blend(q1_target_, q1_);
-  blend(q2_target_, q2_);
+  blend(q1_target_params_, q1_params_);
+  blend(q2_target_params_, q2_params_);
 }
 
 void SacAlgorithm::one_update(TrainStats& stats) {
-  const std::vector<const Transition*> batch =
-      replay_.sample(config_.batch_size, rng_);
+  replay_.sample(config_.batch_size, rng_, batch_);
+  const std::vector<const Transition*>& batch = batch_;
   const double inv_b = 1.0 / static_cast<double>(batch.size());
   const double a_now = alpha();
+  // Per-row draw storage, shared by the target and the actor step.
+  targets_.resize(batch.size());
+  draws_.resize(batch.size());
+  means_.resize(batch.size());
+  log_stds_.resize(batch.size());
 
   // --- 1) Critic targets y = r + gamma (1-d)(min Q_t(s',a') - alpha logp').
   // One batched actor pass and one batched pass per target critic over the
   // non-terminal rows; the policy draws stay per-sample in ascending batch
   // order so the rng_ stream is identical to the per-sample loop.
-  std::vector<double> targets(batch.size());
   {
     DARL_SPAN("rl.sac.target");
     nonterm_idx_.clear();
@@ -207,29 +108,26 @@ void SacAlgorithm::one_update(TrainStats& stats) {
       }
       const Matrix& heads = actor_.evaluate_batch(mb_obs_);
       mb_qin_.reshape(nonterm_idx_.size(), obs_dim_ + act_dim_);
-      tgt_logp_.resize(nonterm_idx_.size());
       for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
         const Transition& tr = *batch[nonterm_idx_[k]];
-        split_head(heads.row(k), act_dim_, config_.log_std_min,
-                   config_.log_std_max, mean_scratch_, log_std_scratch_);
-        const auto draw =
-            nn::SquashedGaussian::sample(mean_scratch_, log_std_scratch_, rng_);
+        split_squashed(heads.row(k), act_dim_, means_[k], log_stds_[k]);
+        nn::SquashedGaussian::sample(means_[k], log_stds_[k], rng_, draws_[k]);
         double* qrow = mb_qin_.row(k);
         std::copy(tr.next_obs.begin(), tr.next_obs.end(), qrow);
-        std::copy(draw.action.begin(), draw.action.end(), qrow + obs_dim_);
-        tgt_logp_[k] = draw.log_prob;
+        std::copy(draws_[k].action.begin(), draws_[k].action.end(),
+                  qrow + obs_dim_);
       }
       const Matrix& q1v = q1_target_.evaluate_batch(mb_qin_);
       const Matrix& q2v = q2_target_.evaluate_batch(mb_qin_);
       for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
         const double qmin = std::min(q1v(k, 0), q2v(k, 0));
-        targets[nonterm_idx_[k]] =
+        targets_[nonterm_idx_[k]] =
             batch[nonterm_idx_[k]]->reward +
-            config_.gamma * (qmin - a_now * tgt_logp_[k]);
+            config_.gamma * (qmin - a_now * draws_[k].log_prob);
       }
     }
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i]->terminated) targets[i] = batch[i]->reward;
+      if (batch[i]->terminated) targets_[i] = batch[i]->reward;
     }
   }
 
@@ -243,26 +141,25 @@ void SacAlgorithm::one_update(TrainStats& stats) {
     mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Transition& tr = *batch[i];
-      const Vec squashed = unscale_from_box(tr.action, action_space_.box());
       double* qrow = mb_qin_.row(i);
       std::copy(tr.obs.begin(), tr.obs.end(), qrow);
-      std::copy(squashed.begin(), squashed.end(), qrow + obs_dim_);
+      box_to_squash(action_space_.box(), tr.action.data(), qrow + obs_dim_);
     }
     const Matrix& cv1 = q1_.forward_batch(mb_qin_);
     const Matrix& cv2 = q2_.forward_batch(mb_qin_);
     mb_d1_.reshape(batch.size(), 1);
     mb_d2_.reshape(batch.size(), 1);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const double e1 = cv1(i, 0) - targets[i];
-      const double e2 = cv2(i, 0) - targets[i];
+      const double e1 = cv1(i, 0) - targets_[i];
+      const double e2 = cv2(i, 0) - targets_[i];
       mb_d1_(i, 0) = inv_b * e1;
       mb_d2_(i, 0) = inv_b * e2;
       q_loss += 0.5 * inv_b * (e1 * e1 + e2 * e2);
     }
     q1_.backward_batch(mb_d1_, nn::Grad::Params);
     q2_.backward_batch(mb_d2_, nn::Grad::Params);
-    nn::clip_grad_norm(q1_.params(), config_.max_grad_norm);
-    nn::clip_grad_norm(q2_.params(), config_.max_grad_norm);
+    nn::clip_grad_norm(q1_params_, config_.max_grad_norm);
+    nn::clip_grad_norm(q2_params_, config_.max_grad_norm);
     q1_opt_->step();
     q2_opt_->step();
   }
@@ -281,15 +178,11 @@ void SacAlgorithm::one_update(TrainStats& stats) {
       std::copy(batch[i]->obs.begin(), batch[i]->obs.end(), mb_obs_.row(i));
     }
     const Matrix& heads = actor_.forward_batch(mb_obs_);
-    draws_.resize(batch.size());
-    means_.resize(batch.size());
-    log_stds_.resize(batch.size());
     mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const Transition& tr = *batch[i];
-      split_head(heads.row(i), act_dim_, config_.log_std_min,
-                 config_.log_std_max, means_[i], log_stds_[i]);
-      draws_[i] = nn::SquashedGaussian::sample(means_[i], log_stds_[i], rng_);
+      split_squashed(heads.row(i), act_dim_, means_[i], log_stds_[i]);
+      nn::SquashedGaussian::sample(means_[i], log_stds_[i], rng_, draws_[i]);
       logp_sum += draws_[i].log_prob;
       double* qrow = mb_qin_.row(i);
       std::copy(tr.obs.begin(), tr.obs.end(), qrow);
@@ -328,14 +221,12 @@ void SacAlgorithm::one_update(TrainStats& stats) {
       double* dh = mb_dhead_.row(i);
       for (std::size_t j = 0; j < act_dim_; ++j) {
         dh[j] = inv_b * d_mean_[j];
-        const double t = std::tanh(heads(i, act_dim_ + j));
-        const double dclamp =
-            0.5 * (config_.log_std_max - config_.log_std_min) * (1.0 - t * t);
-        dh[act_dim_ + j] = inv_b * d_log_std_[j] * dclamp;
+        dh[act_dim_ + j] = inv_b * d_log_std_[j] *
+                           squashed_log_std_slope(heads(i, act_dim_ + j));
       }
     }
     actor_.backward_batch(mb_dhead_, nn::Grad::Params);
-    nn::clip_grad_norm(actor_.params(), config_.max_grad_norm);
+    nn::clip_grad_norm(actor_params_, config_.max_grad_norm);
     actor_opt_->step();
   }
 

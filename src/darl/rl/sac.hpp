@@ -10,10 +10,7 @@
 
 #include <memory>
 
-#include "darl/common/rng.hpp"
 #include "darl/nn/distributions.hpp"
-#include "darl/nn/mlp.hpp"
-#include "darl/nn/optimizer.hpp"
 #include "darl/rl/algorithm.hpp"
 #include "darl/rl/replay_buffer.hpp"
 
@@ -36,23 +33,16 @@ struct SacConfig {
   double target_entropy = 0.0;
   double init_alpha = 0.2;
   double max_grad_norm = 10.0;
-  /// Soft bounds for the state-dependent log-std head.
-  double log_std_min = -5.0;
-  double log_std_max = 2.0;
 };
 
-/// SAC learner. See Algorithm for the learner/actor role split.
+/// SAC learner. See Algorithm for the learner/actor role split and the
+/// policy.
 class SacAlgorithm final : public Algorithm {
  public:
   /// Requires a continuous (Box) action space.
   SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                SacConfig config, std::uint64_t seed);
 
-  AlgoKind kind() const override { return AlgoKind::SAC; }
-  std::unique_ptr<RolloutActor> make_actor() const override;
-  Vec policy_params() const override;
-  std::size_t params_bytes() const override;
-  std::size_t transition_bytes() const override;
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
   double alpha() const;
@@ -62,31 +52,29 @@ class SacAlgorithm final : public Algorithm {
   void polyak_update();
   void one_update(TrainStats& stats);
 
-  std::size_t obs_dim_;
   std::size_t act_dim_;
-  env::ActionSpace action_space_;
   SacConfig config_;
-  Rng rng_;
 
-  nn::Mlp actor_;    // obs -> [mean, raw_log_std]
-  nn::Mlp q1_, q2_;  // [obs, action] -> scalar
+  nn::Mlp q1_, q2_;  // [obs, squashed action] -> scalar
   nn::Mlp q1_target_, q2_target_;
+  std::vector<nn::ParamRef> q1_params_, q2_params_;
+  std::vector<nn::ParamRef> q1_target_params_, q2_target_params_;
   Vec log_alpha_, log_alpha_grad_;
-  std::unique_ptr<nn::Adam> actor_opt_, q1_opt_, q2_opt_, alpha_opt_;
+  std::unique_ptr<nn::Adam> q1_opt_, q2_opt_, alpha_opt_;
   ReplayBuffer replay_;
   double update_carry_ = 0.0;
   double target_entropy_ = 0.0;
 
-  // Reusable batched-kernel staging buffers: observation / [obs, action]
-  // rows, output-gradient rows, and per-sample draw storage. Capacity
-  // settles at the configured batch size, after which one_update() stops
-  // allocating in the network hot path.
+  // Reusable staging: the sampled batch, its critic targets, observation /
+  // [obs, action] rows, output-gradient rows, and per-sample draw storage.
+  // Capacity settles at the configured batch size, after which
+  // one_update() stops allocating.
+  std::vector<const Transition*> batch_;
+  std::vector<double> targets_;
   Matrix mb_obs_, mb_qin_, mb_d1_, mb_d2_, mb_dhead_, mb_ga_;
   std::vector<std::size_t> nonterm_idx_;
   std::vector<nn::SquashedGaussian::Draw> draws_;
   std::vector<Vec> means_, log_stds_;
-  std::vector<double> tgt_logp_;
-  Vec mean_scratch_, log_std_scratch_;
   Vec d_mean_, d_log_std_, grad_action_;
 };
 

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "darl/linalg/vec.hpp"
@@ -56,7 +58,10 @@ struct TrainStats {
 /// (§V-b); IMPALA/V-trace is provided as the §II-A architecture extension.
 enum class AlgoKind { PPO, SAC, IMPALA };
 
-/// Name for reports ("PPO"/"SAC").
+/// Name for reports, checkpoints and the wire ("PPO", "SAC", "IMPALA").
 const char* algo_name(AlgoKind kind);
+
+/// The AlgoKind algo_name() gives `name`; nullopt for any other string.
+std::optional<AlgoKind> algo_from_name(std::string_view name);
 
 }  // namespace darl::rl

@@ -508,7 +508,7 @@ TEST(Backends, TrainResultBitsArePinned) {
       {"sb_sac", FrameworkKind::StableBaselines, pendulum_sac_request(), 0x926b094264528a2bull},
       {"tfa_sac", FrameworkKind::TfAgents, pendulum_sac_request(), 0xd16edc2c035a5d85ull},
       {"sb_ppo_pendulum", FrameworkKind::StableBaselines,
-       pendulum_request(rl::AlgoKind::PPO, 1), 0xd5b091f134314c3eull},
+       pendulum_request(rl::AlgoKind::PPO, 1), 0x626b10bda322d648ull},
       {"rllib_impala_pendulum_2x2", FrameworkKind::RayRllib,
        pendulum_request(rl::AlgoKind::IMPALA, 2), 0xdc2e939fd6b9d9aaull},
   };

@@ -308,6 +308,10 @@ TEST(NetWire, HelloJobByeRoundTrip) {
   EXPECT_EQ(job2.obs_dim, 7u);
   EXPECT_EQ(job2.action_dim, 2u);
   EXPECT_EQ(job2.env_spec, job.env_spec);
+  // A job for an algorithm this build does not know is refused.
+  std::string unknown = net::encode_job(job);
+  unknown.replace(unknown.find("SAC"), 3, "DQN");
+  EXPECT_THROW(net::decode_job(unknown), net::WireError);
 
   net::ByeMsg bye;
   bye.node = 9;
@@ -532,17 +536,23 @@ TEST(NetQueue, BlockedPopWakesOnPush) {
 // ---------------------------------------------------------------------------
 // The acceptance bar: loopback multi-process run == in-process run, bitwise.
 
-frameworks::TrainRequest tiny_rllib_request(std::size_t nodes) {
+/// PPO steers the canopy through the discrete actions, SAC through the
+/// continuous ones.
+frameworks::TrainRequest tiny_rllib_request(
+    std::size_t nodes, rl::AlgoKind algo = rl::AlgoKind::PPO) {
   airdrop::AirdropConfig cfg;
   cfg.wind_enabled = false;
   cfg.gusts_enabled = false;
   cfg.altitude_min = 30.0;
   cfg.altitude_max = 300.0;
+  if (algo == rl::AlgoKind::SAC) {
+    cfg.action_mode = airdrop::ActionMode::Continuous;
+  }
 
   frameworks::TrainRequest req;
   req.env_factory = airdrop::make_airdrop_factory(cfg);
   req.env_spec = airdrop::encode_airdrop_spec(cfg);
-  req.algo.kind = rl::AlgoKind::PPO;
+  req.algo.kind = algo;
   req.deployment.nodes = nodes;
   req.deployment.cores_per_node = 2;
   req.total_timesteps = 1536;
@@ -552,8 +562,11 @@ frameworks::TrainRequest tiny_rllib_request(std::size_t nodes) {
   return req;
 }
 
-TEST(NetDistributed, LoopbackRunMatchesInProcessBitwise) {
-  const frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/3);
+/// Runs `algo`'s tiny RLlib job in process and over a loopback socket,
+/// and expects the two results bit for bit.
+void expect_loopback_matches_in_process(rl::AlgoKind algo) {
+  SCOPED_TRACE(rl::algo_name(algo));
+  const frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/3, algo);
 
   frameworks::RllibBackend in_process;
   const frameworks::TrainResult want = in_process.run(req);
@@ -599,6 +612,13 @@ TEST(NetDistributed, LoopbackRunMatchesInProcessBitwise) {
 
   // The asynchronous pipeline is actually exercised: staleness > 0.
   EXPECT_GT(got.net_staleness, 0.0);
+}
+
+// A remote SAC actor samples the squashed head and rebuilds its network
+// from the Job's hidden sizes, so it runs as a second input beside PPO.
+TEST(NetDistributed, LoopbackRunMatchesInProcessBitwise) {
+  expect_loopback_matches_in_process(rl::AlgoKind::PPO);
+  expect_loopback_matches_in_process(rl::AlgoKind::SAC);
 }
 
 /// Open fds, threads and child processes of this process: a failed run

@@ -285,8 +285,9 @@ TEST(DiagGaussian, SampleMoments) {
 
 TEST(SquashedGaussian, ActionsInsideUnitBox) {
   Rng rng(10);
+  SquashedGaussian::Draw d;
   for (int i = 0; i < 200; ++i) {
-    const auto d = SquashedGaussian::sample({0.0, 2.0}, {0.5, 0.5}, rng);
+    SquashedGaussian::sample({0.0, 2.0}, {0.5, 0.5}, rng, d);
     for (double a : d.action) {
       EXPECT_GT(a, -1.0);
       EXPECT_LT(a, 1.0);
@@ -298,7 +299,8 @@ TEST(SquashedGaussian, ActionsInsideUnitBox) {
 TEST(SquashedGaussian, LogProbConsistentWithDraw) {
   Rng rng(11);
   const Vec mean{0.2}, log_std{-0.3};
-  const auto d = SquashedGaussian::sample(mean, log_std, rng);
+  SquashedGaussian::Draw d;
+  SquashedGaussian::sample(mean, log_std, rng, d);
   EXPECT_NEAR(d.log_prob,
               SquashedGaussian::log_prob(mean, log_std, d.pre_tanh), 1e-12);
 }

@@ -13,6 +13,7 @@
 #include "darl/common/error.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/pendulum.hpp"
+#include "darl/nn/distributions.hpp"
 #include "darl/obs/trace.hpp"
 #include "darl/rl/checkpoint.hpp"
 #include "darl/rl/evaluate.hpp"
@@ -229,14 +230,17 @@ TEST(ReplayBuffer, RingOverwriteAndSampling) {
   EXPECT_EQ(buf.total_pushed(), 5u);
   // Contents are {3, 4, 2} in slots; rewards seen must be from {2,3,4}.
   Rng rng(1);
-  for (const Transition* t : buf.sample(50, rng)) {
+  std::vector<const Transition*> sample;
+  buf.sample(50, rng, sample);
+  EXPECT_EQ(sample.size(), 50u);
+  for (const Transition* t : sample) {
     EXPECT_GE(t->reward, 2.0);
     EXPECT_LE(t->reward, 4.0);
   }
   EXPECT_THROW(buf.at(3), InvalidArgument);
   EXPECT_THROW(ReplayBuffer(0), InvalidArgument);
   ReplayBuffer empty(2);
-  EXPECT_THROW(empty.sample(1, rng), InvalidArgument);
+  EXPECT_THROW(empty.sample(1, rng, sample), InvalidArgument);
 }
 
 TEST(ReplayBuffer, SamplesEveryStoredTransitionUniformly) {
@@ -245,7 +249,9 @@ TEST(ReplayBuffer, SamplesEveryStoredTransitionUniformly) {
   Rng rng(5);
   const std::size_t n = 40000;
   std::vector<std::size_t> counts(4, 0);
-  for (const Transition* t : buf.sample(n, rng)) {
+  std::vector<const Transition*> sample;
+  buf.sample(n, rng, sample);
+  for (const Transition* t : sample) {
     ++counts[static_cast<std::size_t>(t->reward)];
   }
   for (const std::size_t c : counts) {
@@ -270,6 +276,10 @@ TEST(Factory, BuildsPpoAndSac) {
       InvalidArgument);
   EXPECT_STREQ(algo_name(AlgoKind::PPO), "PPO");
   EXPECT_STREQ(algo_name(AlgoKind::SAC), "SAC");
+  for (const AlgoKind kind : {AlgoKind::PPO, AlgoKind::SAC, AlgoKind::IMPALA}) {
+    EXPECT_EQ(algo_from_name(algo_name(kind)), kind);
+  }
+  EXPECT_EQ(algo_from_name("DQN"), std::nullopt);
 }
 
 TEST(PpoActor, SnapshotRoundTripAndDeterminism) {
@@ -295,17 +305,38 @@ TEST(PpoActor, SnapshotRoundTripAndDeterminism) {
   EXPECT_THROW(a1->set_params(Vec{1.0}), InvalidArgument);
 }
 
+// A Gaussian actor clips its draw into the box and scores the action it
+// returns: each log-probability is log pi of the clipped action under the
+// same parameters, the value PPO's ratio and IMPALA's V-trace recompute
+// from the stored transition.
 TEST(PpoActor, ContinuousActionsClippedToBox) {
-  AlgorithmSpec spec;
-  spec.kind = AlgoKind::PPO;
-  auto algo =
-      make_algorithm(spec, 2, env::ActionSpace(env::BoxSpace(1, -0.5, 0.5)), 3);
-  auto actor = algo->make_actor();
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) {
-    const ActOutput o = actor->act({0.0, 0.0}, rng);
-    EXPECT_GE(o.action[0], -0.5);
-    EXPECT_LE(o.action[0], 0.5);
+  const env::ActionSpace space(env::BoxSpace(1, -0.5, 0.5));
+  for (const AlgoKind kind : {AlgoKind::PPO, AlgoKind::IMPALA}) {
+    AlgorithmSpec spec;
+    spec.kind = kind;
+    auto algo = make_algorithm(spec, 2, space, 3);
+    const PolicyShape& shape = algo->shape();
+    const Vec params = algo->policy_params();
+    const auto tail = params.end() - static_cast<std::ptrdiff_t>(shape.tail);
+    Rng init(0);
+    nn::Mlp net(shape.sizes, shape.activation, init);
+    net.set_flat_params(Vec(params.begin(), tail));
+    const Vec log_std(tail, params.end());
+
+    auto actor = algo->make_actor();
+    Rng rng(1);
+    int clipped = 0;
+    for (int i = 0; i < 100; ++i) {
+      const Vec obs{0.01 * i, -0.02 * i};
+      const ActOutput o = actor->act(obs, rng);
+      EXPECT_GE(o.action[0], -0.5);
+      EXPECT_LE(o.action[0], 0.5);
+      clipped += std::abs(o.action[0]) == 0.5;
+      EXPECT_EQ(o.log_prob,
+                nn::DiagGaussian::log_prob(net.evaluate(obs), log_std, o.action))
+          << algo_name(kind) << " draw " << i;
+    }
+    EXPECT_GT(clipped, 0) << algo_name(kind);
   }
 }
 
