@@ -4,7 +4,29 @@
 #include <cmath>
 #include <numeric>
 
+#include "darl/common/elementary.hpp"
+
 namespace darl {
+
+namespace {
+
+/// Marsaglia's polar method, drawn exactly as libstdc++'s
+/// normal_distribution draws it (two uniforms per try, the second
+/// coordinate first), but over darl's log, so the normals do not depend
+/// on the host's libm. Returns one normal and stores its pair in `*pair`.
+double polar_normal(Rng& rng, double* pair) {
+  double x, y, r2;
+  do {
+    x = 2.0 * rng.uniform() - 1.0;
+    y = 2.0 * rng.uniform() - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  const double mult = std::sqrt(-2.0 * math::log(r2) / r2);
+  if (pair != nullptr) *pair = x * mult;
+  return y * mult;
+}
+
+}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -40,14 +62,12 @@ double Rng::uniform(double lo, double hi) {
   return std::uniform_real_distribution<double>(lo, hi)(engine_);
 }
 
-double Rng::normal() {
-  return std::normal_distribution<double>(0.0, 1.0)(engine_);
-}
+double Rng::normal() { return polar_normal(*this, nullptr); }
 
 double Rng::normal(double mean, double stddev) {
   DARL_CHECK(stddev >= 0.0, "negative stddev " << stddev);
   if (stddev == 0.0) return mean;
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  return polar_normal(*this, nullptr) * stddev + mean;
 }
 
 std::int64_t Rng::randint(std::int64_t lo, std::int64_t hi) {
@@ -90,8 +110,12 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
 }
 
 void Rng::fill_normal(std::vector<double>& out) {
-  std::normal_distribution<double> dist(0.0, 1.0);
-  for (double& v : out) v = dist(engine_);
+  // Both normals of each polar pair, as one normal_distribution would.
+  for (std::size_t i = 0; i < out.size(); i += 2) {
+    double pair;
+    out[i] = polar_normal(*this, &pair);
+    if (i + 1 < out.size()) out[i + 1] = pair;
+  }
 }
 
 }  // namespace darl

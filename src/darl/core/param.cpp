@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
 
@@ -125,7 +126,7 @@ ParamValue ParamDomain::grid_value(std::size_t i,
       static_cast<double>(i) / static_cast<double>(real_grid_points - 1);
   double v;
   if (rr.log_scale) {
-    v = std::exp(std::log(rr.lo) + frac * (std::log(rr.hi) - std::log(rr.lo)));
+    v = math::exp(math::log(rr.lo) + frac * (math::log(rr.hi) - math::log(rr.lo)));
   } else {
     v = rr.lo + frac * (rr.hi - rr.lo);
   }
@@ -146,7 +147,7 @@ ParamValue ParamDomain::sample(Rng& rng) const {
   }
   const auto& rr = std::get<RealRange>(domain_);
   if (rr.log_scale) {
-    return std::clamp(std::exp(rng.uniform(std::log(rr.lo), std::log(rr.hi))),
+    return std::clamp(math::exp(rng.uniform(math::log(rr.lo), math::log(rr.hi))),
                       rr.lo, rr.hi);
   }
   return rng.uniform(rr.lo, rr.hi);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 
 namespace darl::core {
@@ -15,16 +16,16 @@ struct RealTransform {
   double lo = 0.0, hi = 1.0;
   bool log_scale = false;
 
-  double fwd(double x) const { return log_scale ? std::log(x) : x; }
-  double inv(double t) const { return log_scale ? std::exp(t) : t; }
+  double fwd(double x) const { return log_scale ? math::log(x) : x; }
+  double inv(double t) const { return log_scale ? math::exp(t) : t; }
 };
 
 RealTransform transform_of(const ParamDomain& dom) {
   RealTransform tr;
   const auto [lo, hi] = dom.real_bounds();
   tr.log_scale = dom.real_log_scale();
-  tr.lo = tr.log_scale ? std::log(lo) : lo;
-  tr.hi = tr.log_scale ? std::log(hi) : hi;
+  tr.lo = tr.log_scale ? math::log(lo) : lo;
+  tr.hi = tr.log_scale ? math::log(hi) : hi;
   return tr;
 }
 
@@ -75,7 +76,7 @@ double TpeSearch::dim_log_density(
     const double p = (count + options_.categorical_prior) /
                      (static_cast<double>(n) +
                       options_.categorical_prior * static_cast<double>(k));
-    return std::log(p);
+    return math::log(p);
   }
 
   // Real: Parzen mixture of Gaussians plus a uniform prior component.
@@ -90,10 +91,10 @@ double TpeSearch::dim_log_density(
   for (const Observation* o : group) {
     const double xi = tr.fwd(std::get<double>(o->config.get(dom.name())));
     const double z = (x - xi) / bw;
-    density += std::exp(-0.5 * z * z - kLogSqrt2Pi) / bw;
+    density += math::exp(-0.5 * z * z - kLogSqrt2Pi) / bw;
   }
   density /= static_cast<double>(n + 1);
-  return std::log(std::max(density, 1e-300));
+  return math::log(std::max(density, 1e-300));
 }
 
 ParamValue TpeSearch::dim_sample(const ParamDomain& dom,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/env/wrappers.hpp"
 
@@ -31,7 +32,7 @@ Vec MountainCarEnv::do_reset(Rng& rng) {
 StepResult MountainCarEnv::do_step(Rng& rng, const Vec& action) {
   (void)rng;
   const double force = std::clamp(action[0], -1.0, 1.0);
-  velocity_ += force * kPower - kGravity * std::cos(3.0 * position_);
+  velocity_ += force * kPower - kGravity * math::cos(3.0 * position_);
   velocity_ = std::clamp(velocity_, -kMaxSpeed, kMaxSpeed);
   position_ += velocity_;
   position_ = std::clamp(position_, kMinPosition, kMaxPosition);

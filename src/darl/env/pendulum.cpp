@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/env/wrappers.hpp"
 
@@ -31,7 +32,7 @@ PendulumEnv::PendulumEnv()
       act_space_(BoxSpace(1, -kMaxTorque, kMaxTorque)) {}
 
 Vec PendulumEnv::observe() const {
-  return {std::cos(theta_), std::sin(theta_), theta_dot_};
+  return {math::cos(theta_), math::sin(theta_), theta_dot_};
 }
 
 Vec PendulumEnv::do_reset(Rng& rng) {
@@ -47,7 +48,7 @@ StepResult PendulumEnv::do_step(Rng& rng, const Vec& action) {
   const double cost =
       angle * angle + 0.1 * theta_dot_ * theta_dot_ + 0.001 * u * u;
 
-  theta_dot_ += (3.0 * kG / (2.0 * kLength) * std::sin(theta_) +
+  theta_dot_ += (3.0 * kG / (2.0 * kLength) * math::sin(theta_) +
                  3.0 / (kMass * kLength * kLength) * u) *
                 kDt;
   theta_dot_ = std::clamp(theta_dot_, -kMaxSpeed, kMaxSpeed);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/common/kernel.hpp"
 
@@ -35,8 +36,8 @@ Adam::Adam(std::vector<ParamRef> params, double lr, double beta1, double beta2,
 DARL_KERNEL void Adam::step() {
   ++t_;
   const double b1 = beta1_, b2 = beta2_, lr = lr_, eps = eps_;
-  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
+  const double bc1 = 1.0 - math::pow(b1, static_cast<double>(t_));
+  const double bc2 = 1.0 - math::pow(b2, static_cast<double>(t_));
   // Elementwise and branch-free, so the loop vectorises at -O3 (darl_nn
   // builds with -fno-math-errno, which lets std::sqrt become vsqrtpd).
   // IEEE division and square root are correctly rounded at every width,

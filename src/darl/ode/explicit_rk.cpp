@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 
 namespace darl::ode {
@@ -93,7 +94,7 @@ void ExplicitRk::do_integrate(const Rhs& rhs, double t0, double t1, Vec& y) {
     if (err == 0.0) {
       factor = options_.max_factor;
     } else {
-      factor = std::clamp(options_.safety * std::pow(err, -1.0 / (q + 1.0)),
+      factor = std::clamp(options_.safety * math::pow(err, -1.0 / (q + 1.0)),
                           options_.min_factor, options_.max_factor);
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/obs/trace.hpp"
 
@@ -29,7 +30,7 @@ VtraceResult compute_vtrace(const std::vector<Transition>& stream,
   double next_excess = 0.0;   // vs_{t+1} - V(s_{t+1})
   for (std::size_t i = n; i-- > 0;) {
     const Transition& tr = stream[i];
-    const double ratio = std::exp(log_ratio[i]);
+    const double ratio = math::exp(log_ratio[i]);
     const double rho = std::min(rho_clip, ratio);
     const double c = std::min(c_clip, ratio);
     out.rho[i] = rho;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/common/kernel.hpp"
 #include "darl/nn/distributions.hpp"
@@ -60,11 +61,11 @@ DARL_KERNEL void greedy_action(PolicyHead head, const env::ActionSpace& space,
         if (m < row[i]) m = row[i];
       }
       double z = 0.0;
-      for (std::size_t i = 0; i < n; ++i) z += std::exp(row[i] - m);
+      for (std::size_t i = 0; i < n; ++i) z += math::exp(row[i] - m);
       std::size_t best = 0;
-      double best_p = std::exp(row[0] - m) / z;
+      double best_p = math::exp(row[0] - m) / z;
       for (std::size_t i = 1; i < n; ++i) {
-        const double p = std::exp(row[i] - m) / z;
+        const double p = math::exp(row[i] - m) / z;
         if (best_p < p) {
           best = i;
           best_p = p;
@@ -83,7 +84,7 @@ DARL_KERNEL void greedy_action(PolicyHead head, const env::ActionSpace& space,
     case PolicyHead::SquashedGaussian: {
       // tanh of the mean half, mapped into the box.
       const env::BoxSpace& box = space.box();
-      for (std::size_t i = 0; i < box.dim(); ++i) out[i] = std::tanh(row[i]);
+      for (std::size_t i = 0; i < box.dim(); ++i) out[i] = math::tanh(row[i]);
       squash_to_box(box, out, out);
       return;
     }
@@ -135,12 +136,12 @@ void split_squashed(const double* row, std::size_t dim, Vec& mean,
   for (std::size_t i = 0; i < dim; ++i) {
     log_std[i] = kSquashedLogStdMin +
                  0.5 * (kSquashedLogStdMax - kSquashedLogStdMin) *
-                     (std::tanh(row[dim + i]) + 1.0);
+                     (math::tanh(row[dim + i]) + 1.0);
   }
 }
 
 double squashed_log_std_slope(double raw) {
-  const double t = std::tanh(raw);
+  const double t = math::tanh(raw);
   return 0.5 * (kSquashedLogStdMax - kSquashedLogStdMin) * (1.0 - t * t);
 }
 

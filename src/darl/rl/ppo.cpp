@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/obs/trace.hpp"
 #include "darl/rl/gae.hpp"
@@ -90,7 +91,7 @@ TrainStats PpoAlgorithm::train(const std::vector<WorkerBatch>& batches) {
         const Sample& s = samples[perm[start + k]];
         const Transition& tr = *s.t;
         const double ratio_log = log_prob(heads.row(k), tr.action) - tr.log_prob;
-        const double ratio = std::exp(ratio_log);
+        const double ratio = math::exp(ratio_log);
         const double unclipped = ratio * s.advantage;
         const double clipped = std::clamp(ratio, lo, hi) * s.advantage;
         // Gradient of -min(unclipped, clipped) w.r.t. logp flows through

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/nn/distributions.hpp"
 #include "darl/obs/trace.hpp"
@@ -48,7 +49,7 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
     for (std::size_t i = 0; i < act_dim_; ++i) last_bias[act_dim_ + i] = 0.5;
   }
 
-  log_alpha_.assign(1, std::log(config_.init_alpha));
+  log_alpha_.assign(1, math::log(config_.init_alpha));
   log_alpha_grad_.assign(1, 0.0);
   target_entropy_ = config_.target_entropy != 0.0
                         ? config_.target_entropy
@@ -61,7 +62,7 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
       config_.learning_rate);
 }
 
-double SacAlgorithm::alpha() const { return std::exp(log_alpha_[0]); }
+double SacAlgorithm::alpha() const { return math::exp(log_alpha_[0]); }
 
 void SacAlgorithm::polyak_update() {
   // Blend each target buffer in place against its online twin.

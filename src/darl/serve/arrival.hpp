@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <string>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/rng.hpp"
 
 namespace darl::serve {
@@ -76,13 +77,13 @@ class ArrivalProcess {
         constexpr double kAlpha = 1.5;
         const double xm = mean_gap_s_ * (kAlpha - 1.0) / kAlpha;
         const double u = std::max(1e-12, 1.0 - rng.uniform());
-        return xm / std::pow(u, 1.0 / kAlpha);
+        return xm / math::pow(u, 1.0 / kAlpha);
       }
       case Arrival::Poisson:
         break;
     }
     const double u = std::max(1e-12, 1.0 - rng.uniform());
-    return -std::log(u) * mean_gap_s_;
+    return -math::log(u) * mean_gap_s_;
   }
 
  private:

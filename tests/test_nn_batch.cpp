@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/linalg/matrix.hpp"
@@ -279,7 +280,7 @@ void reference_add_bias(Matrix& m, const Vec& bias) {
     for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) += bias[c];
 }
 void reference_apply_tanh(Matrix& m) {
-  for (double& v : m.data()) v = std::tanh(v);
+  for (double& v : m.data()) v = math::tanh(v);
 }
 void reference_apply_relu(Matrix& m) {
   for (double& v : m.data()) v = v > 0.0 ? v : 0.0;
@@ -387,8 +388,8 @@ TEST(RowKernels, AdamStepMatchesTheScalarLoop) {
       }
     }
     opt.step();
-    const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t));
-    const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t));
+    const double bc1 = 1.0 - math::pow(b1, static_cast<double>(t));
+    const double bc2 = 1.0 - math::pow(b2, static_cast<double>(t));
     for (std::size_t b = 0; b < g.size(); ++b) {
       for (std::size_t j = 0; j < g[b].size(); ++j) {
         ref_m[b][j] = b1 * ref_m[b][j] + (1.0 - b1) * g[b][j];

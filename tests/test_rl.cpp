@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/pendulum.hpp"
@@ -387,8 +388,8 @@ TEST(Policy, ShapeAndGreedyActionPerHead) {
   greedy_action(PolicyHead::Gaussian, box, head, out.data());
   EXPECT_EQ(out, (Vec{-0.5, 0.25}));
   greedy_action(PolicyHead::SquashedGaussian, box, head, out.data());
-  EXPECT_DOUBLE_EQ(out[0], -0.5 + 0.5 * (std::tanh(-2.0) + 1.0) * 4.5);
-  EXPECT_DOUBLE_EQ(out[1], -0.5 + 0.5 * (std::tanh(0.25) + 1.0) * 4.5);
+  EXPECT_EQ(out[0], -0.5 + 0.5 * (math::tanh(-2.0) + 1.0) * 4.5);
+  EXPECT_EQ(out[1], -0.5 + 0.5 * (math::tanh(0.25) + 1.0) * 4.5);
 }
 
 TEST(PpoTrain, RunsAndReportsStats) {
