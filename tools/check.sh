@@ -14,14 +14,15 @@
 #                    under locks, cv-wait predicates, atomic orderings
 #                    (suppressions in tools/darl_verify.supp)
 #   3. build/        Release-style tree, full ctest suite
-#   4. build-noavx/  darl_linalg and darl_nn without -mavx
-#                    (DARL_LINALG_AVX=OFF), benches and examples off:
-#                    builds and runs test_linalg, test_nn_batch, test_rl
-#                    and the pinned TrainResult digests of
-#                    test_frameworks, so the portable 4-wide gemm
-#                    instantiation, the SSE2 elementwise passes and Adam
-#                    keep their bits in the one configuration no other
-#                    tree compiles
+#   4. build-noavx/  darl_linalg, darl_nn and darl's elementary functions
+#                    without -mavx (DARL_LINALG_AVX=OFF), benches and
+#                    examples off: builds and runs test_elementary,
+#                    test_linalg, test_nn_batch, test_rl and the pinned
+#                    TrainResult digests of test_frameworks, so the
+#                    portable 4-wide gemm instantiation, the SSE2
+#                    elementwise passes, the SSE2 tanh row and Adam keep
+#                    their bits in the one configuration no other tree
+#                    compiles
 #   5. clang-tidy    optional second opinion (no-ops when absent);
 #                    thread-safety + concurrency findings are errors
 #   6. build-ubsan/  UndefinedBehaviorSanitizer tree (DARL_SANITIZE=
@@ -61,7 +62,9 @@
 #                    byte for byte with nonzero NetStaleness on the engaged
 #                    trials; finally Table I is retrained from scratch
 #                    (--parallel 4) and must reproduce the committed
-#                    darl_table1_cache.csv byte for byte
+#                    darl_table1_cache.csv byte for byte, once as built
+#                    and once with glibc's AVX2 and FMA libm variants
+#                    masked (GLIBC_TUNABLES), as on a CPU without FMA
 #
 # A per-stage wall-clock summary prints at the end.
 #
@@ -118,11 +121,12 @@ stage "darl_verify (concurrency discipline)"
 stage "build/ (plain tree + ctest)"
 run_tree build "" "$@"
 
-stage "build-noavx/ (portable gemm and learner passes, DARL_LINALG_AVX=OFF)"
+stage "build-noavx/ (portable gemm, learner passes and tanh row, DARL_LINALG_AVX=OFF)"
 cmake -B build-noavx -S . -DDARL_LINALG_AVX=OFF -DDARL_BUILD_BENCHMARKS=OFF \
     -DDARL_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build build-noavx -j "$JOBS" \
-    --target test_linalg test_nn_batch test_rl test_frameworks
+    --target test_elementary test_linalg test_nn_batch test_rl test_frameworks
+./build-noavx/tests/test_elementary
 ./build-noavx/tests/test_linalg
 ./build-noavx/tests/test_nn_batch
 ./build-noavx/tests/test_rl
@@ -328,7 +332,7 @@ kill "$DIST_PID" 2>/dev/null || true
 wait "$DIST_PID" 2>/dev/null || true
 echo "distributed smoke ok: port $dist_port, staleness $staleness, both actors served and exited 0"
 
-stage "determinism audit (serial x2, --parallel 4, TPE, --distributed, telemetry on, Table I retrain)"
+stage "determinism audit (serial x2, --parallel 4, TPE, --distributed, telemetry on, Table I retrain plain and libm-masked)"
 audit_run() {
   local out="$1"
   shift
@@ -369,7 +373,14 @@ grep 'framework=RLlib, nodes=[^1]' "$AUDIT_DIR/dist_mp.csv" \
 ./build/tools/darl_study --parallel 4 --cache "$AUDIT_DIR/table1.csv" > /dev/null
 cmp "$AUDIT_DIR/table1.csv" darl_table1_cache.csv \
   || { echo "determinism audit FAILED: retrained Table I differs from the committed darl_table1_cache.csv"; exit 1; }
-echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. --parallel 4, TPE --parallel 3 and the multi-process --distributed leg); retrained Table I matches darl_table1_cache.csv"
+# The same retrain on what a CPU without FMA runs: glibc's AVX2 and FMA
+# libm variants masked for this process. darl computes its elementary
+# functions itself, so not one byte may move.
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA \
+  ./build/tools/darl_study --parallel 4 --cache "$AUDIT_DIR/table1_masked.csv" > /dev/null
+cmp "$AUDIT_DIR/table1_masked.csv" darl_table1_cache.csv \
+  || { echo "determinism audit FAILED: Table I retrained with glibc's AVX2/FMA variants masked differs from darl_table1_cache.csv"; exit 1; }
+echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. --parallel 4, TPE --parallel 3 and the multi-process --distributed leg); retrained Table I matches darl_table1_cache.csv, with and without glibc's AVX2/FMA variants"
 
 stage_end
 echo "=== stage timing ==="
