@@ -68,9 +68,8 @@ void gemm_rows_fused(const GemmOperands& g);
 /// must have a_t_stride 1. Same per-element chain as the micro-kernel.
 void gemm_nt_small(const GemmOperands& g);
 
-/// CPUID: whether gemm_rows_v8 / gemm_rows_fused may run on this host
-/// (always false off x86).
-bool cpu_has_avx512f();
+/// CPUID: whether gemm_rows_fused may run on this host (always false off
+/// x86). gemm_rows_v8 needs cpu_has_avx512f() (darl/common/kernel.hpp).
 bool cpu_has_avx2_fma();
 
 }  // namespace darl::linalg

@@ -293,7 +293,7 @@ linalg::GemmRowsFn rows_kernel() {
 #if DARL_LINALG_X86
   if (fast_math_active()) return &linalg::gemm_rows_fused;
   static const linalg::GemmRowsFn strict =
-      linalg::cpu_has_avx512f() ? &linalg::gemm_rows_v8 : &linalg::gemm_rows_v4;
+      cpu_has_avx512f() ? &linalg::gemm_rows_v8 : &linalg::gemm_rows_v4;
   return strict;
 #else
   return &linalg::gemm_rows_v4;
@@ -361,15 +361,6 @@ __attribute__((target("avx2,fma"))) DARL_KERNEL void gemm_rows_fused(
   micro_gemm<FusedVec>(g);
 }
 #endif
-
-bool cpu_has_avx512f() {
-#if DARL_LINALG_X86 && defined(__GNUC__)
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
 
 bool cpu_has_avx2_fma() {
 #if DARL_LINALG_X86 && defined(__GNUC__)

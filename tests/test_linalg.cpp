@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "darl/common/error.hpp"
+#include "darl/common/kernel.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/stats.hpp"
 #include "darl/linalg/gemm_kernels.hpp"
@@ -311,7 +312,7 @@ TEST(GemmBitwise, PortableInstantiationMatchesReferenceChain) {
 
 TEST(GemmBitwise, Avx512InstantiationMatchesReferenceChain) {
 #if DARL_LINALG_X86
-  if (!linalg::cpu_has_avx512f()) {
+  if (!cpu_has_avx512f()) {
     GTEST_SKIP() << "CPUID reports no avx512f: the 8-wide instantiation "
                     "cannot run on this host";
   }
@@ -361,7 +362,7 @@ std::vector<Kernel> kernels_on_this_host() {
   std::vector<Kernel> out;
   out.push_back({"gemm_rows_v4", instantiation(&linalg::gemm_rows_v4), false});
 #if DARL_LINALG_X86
-  if (linalg::cpu_has_avx512f()) {
+  if (cpu_has_avx512f()) {
     out.push_back({"gemm_rows_v8", instantiation(&linalg::gemm_rows_v8), false});
   }
 #endif
@@ -475,7 +476,7 @@ void check_contraction_overwrite(const Kernel& kernel, bool trans_a,
 TEST(GemmBitwise, StrictPathsNeverContract) {
   check_contraction(&linalg::gemm_rows_v4, 0.0);
 #if DARL_LINALG_X86
-  if (linalg::cpu_has_avx512f()) check_contraction(&linalg::gemm_rows_v8, 0.0);
+  if (cpu_has_avx512f()) check_contraction(&linalg::gemm_rows_v8, 0.0);
 #endif
   // Overwrite mode, through every kernel and flavour.
   for (const Kernel& kernel : kernels_on_this_host()) {
