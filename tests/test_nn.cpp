@@ -211,16 +211,25 @@ TEST(Categorical, SampleFrequenciesMatchProbabilities) {
   EXPECT_NEAR(ones / 20000.0, p1, 0.02);
 }
 
+/// Entropy of softmax(logits).
+double entropy(const Vec& logits) {
+  Vec log_p;
+  return Categorical::entropy_of(Categorical::softmax(logits), log_p);
+}
+
 TEST(Categorical, EntropyUniformIsLogN) {
-  EXPECT_NEAR(Categorical::entropy({0.5, 0.5, 0.5}), std::log(3.0), 1e-12);
-  EXPECT_LT(Categorical::entropy({10.0, 0.0, 0.0}), 0.01);
+  EXPECT_NEAR(entropy({0.5, 0.5, 0.5}), std::log(3.0), 1e-12);
+  EXPECT_LT(entropy({10.0, 0.0, 0.0}), 0.01);
 }
 
 TEST(Categorical, GradientsMatchFiniteDifferences) {
   const Vec logits{0.4, -0.2, 1.3};
   const std::size_t a = 2;
-  const Vec glp = Categorical::log_prob_grad(logits, a);
-  const Vec gent = Categorical::entropy_grad(logits);
+  const Vec p = Categorical::softmax(logits);
+  Vec log_p, glp, gent;
+  const double h = Categorical::entropy_of(p, log_p);
+  Categorical::log_prob_grad(p, a, glp);
+  Categorical::entropy_grad(p, log_p, h, gent);
   for (std::size_t i = 0; i < logits.size(); ++i) {
     const double nlp = num_grad(
         [&](double v) {
@@ -234,7 +243,7 @@ TEST(Categorical, GradientsMatchFiniteDifferences) {
         [&](double v) {
           Vec l = logits;
           l[i] = v;
-          return Categorical::entropy(l);
+          return entropy(l);
         },
         logits[i]);
     EXPECT_NEAR(gent[i], nent, 1e-6);
