@@ -35,7 +35,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t fnv1a64(const std::string& bytes) {
+std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t h = 0xCBF29CE484222325ull;
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);

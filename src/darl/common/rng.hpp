@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "darl/common/error.hpp"
@@ -81,6 +82,6 @@ std::uint64_t splitmix64(std::uint64_t x);
 /// FNV-1a 64-bit hash of a byte string. Stable across platforms (unlike
 /// std::hash), so it is safe to persist — used for campaign-cache config
 /// digests and for deriving per-configuration seed streams.
-std::uint64_t fnv1a64(const std::string& bytes);
+std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace darl

@@ -12,9 +12,10 @@
 // What the wire adds to the determinism contract:
 //   * worker i seeds from the same per-id stream in whichever process
 //     hosts it (WorkerGroup), the learner's algorithm from split(1).
-//   * weights travel as checkpoint-v2 text at round-trip precision and
-//     batches as precision-17 token streams, so every double is bitwise
-//     preserved across the wire.
+//   * batches travel as raw IEEE-754 bits (wire protocol v2) and weights
+//     as checkpoint-v2 text, whose 17 significant digits round-trip every
+//     finite double, so every parameter and sample is bitwise preserved
+//     across the wire.
 //   * the learner rejects a batch whose worker id lies outside its
 //     sender's node or repeats within an iteration, then sorts the rest by
 //     worker id — the order the in-process placement produces.

@@ -1,39 +1,16 @@
 #include "darl/net/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "darl/common/rng.hpp"
+#include "darl/net/le_bytes.hpp"
 
 namespace darl::net {
 namespace {
 
-void put_u32(unsigned char* out, std::uint32_t v) {
-  out[0] = static_cast<unsigned char>(v & 0xFFu);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xFFu);
-  out[2] = static_cast<unsigned char>((v >> 16) & 0xFFu);
-  out[3] = static_cast<unsigned char>((v >> 24) & 0xFFu);
-}
-
-void put_u64(unsigned char* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
-std::uint32_t get_u32(const unsigned char* in) {
-  return static_cast<std::uint32_t>(in[0]) |
-         (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
+/// How much of a frame payload one read asks for, and so allocates ahead.
+constexpr std::uint64_t kFrameReadChunk = 1ull << 20;
 
 [[noreturn]] void throw_io(const IoResult& r, const char* what) {
   if (r.status == IoStatus::TimedOut) {
@@ -49,10 +26,10 @@ std::uint64_t get_u64(const unsigned char* in) {
 
 void encode_frame_header(std::uint32_t type, const std::string& payload,
                          unsigned char* out) {
-  put_u32(out, kFrameMagic);
-  put_u32(out + 4, type);
-  put_u64(out + 8, static_cast<std::uint64_t>(payload.size()));
-  put_u64(out + 16, fnv1a64(payload));
+  le::put_u32(out, kFrameMagic);
+  le::put_u32(out + 4, type);
+  le::put_u64(out + 8, static_cast<std::uint64_t>(payload.size()));
+  le::put_u64(out + 16, fnv1a64(payload));
 }
 
 void write_frame(int fd, std::uint32_t type, const std::string& payload) {
@@ -81,13 +58,13 @@ bool read_frame(int fd, Frame& out) {
   }
   if (r.status != IoStatus::Ok) throw_io(r, "read");
 
-  if (get_u32(header) != kFrameMagic) {
+  if (le::get_u32(header) != kFrameMagic) {
     throw FrameError(FrameError::Kind::BadMagic,
                      "net: bad frame magic (stream out of sync?)");
   }
-  out.type = get_u32(header + 4);
-  const std::uint64_t length = get_u64(header + 8);
-  const std::uint64_t digest = get_u64(header + 16);
+  out.type = le::get_u32(header + 4);
+  const std::uint64_t length = le::get_u64(header + 8);
+  const std::uint64_t digest = le::get_u64(header + 16);
   if (length > kMaxFramePayload) {
     throw FrameError(FrameError::Kind::TooLarge,
                      "net: frame length " + std::to_string(length) +
@@ -95,15 +72,24 @@ bool read_frame(int fd, Frame& out) {
                          "-byte cap");
   }
 
-  out.payload.resize(static_cast<std::size_t>(length));
-  if (length > 0) {
-    r = recv_exact(fd, out.payload.data(), out.payload.size());
+  // The payload grows as its bytes arrive, a chunk at a time, so a header
+  // that claims more than the peer sends costs what arrived plus one
+  // chunk, not the claimed length.
+  out.payload.clear();
+  std::size_t have = 0;
+  while (have < length) {
+    const std::size_t chunk = static_cast<std::size_t>(
+        std::min<std::uint64_t>(length - have, kFrameReadChunk));
+    out.payload.resize(have + chunk);
+    r = recv_exact(fd, out.payload.data() + have, chunk);
     if (r.status == IoStatus::Eof) {
       throw FrameError(FrameError::Kind::Truncated,
-                       "net: peer closed mid-payload (" + std::to_string(r.n) +
-                           " of " + std::to_string(length) + " bytes)");
+                       "net: peer closed mid-payload (" +
+                           std::to_string(have + r.n) + " of " +
+                           std::to_string(length) + " bytes)");
     }
     if (r.status != IoStatus::Ok) throw_io(r, "read");
+    have += chunk;
   }
   if (fnv1a64(out.payload) != digest) {
     throw FrameError(FrameError::Kind::BadDigest,

@@ -1,26 +1,14 @@
 #include "darl/net/wire.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
+#include "darl/net/le_bytes.hpp"
 #include "darl/obs/metrics.hpp"
 
 namespace darl::net {
 namespace {
-
-/// Token-stream writer at checkpoint-v2 round-trip precision: any double
-/// that goes through here comes back bitwise-identical on the far side.
-std::ostringstream make_writer() {
-  std::ostringstream os;
-  os.precision(17);
-  return os;
-}
-
-void put_vec(std::ostream& os, const Vec& v) {
-  os << v.size();
-  for (std::size_t i = 0; i < v.size(); ++i) os << ' ' << v[i];
-  os << '\n';
-}
 
 template <typename T>
 T get_value(std::istream& is, const char* what) {
@@ -29,9 +17,10 @@ T get_value(std::istream& is, const char* what) {
   return v;
 }
 
-/// Reads an element count and rejects one that the rest of the payload
-/// cannot hold: every element takes at least `min_bytes` bytes (one
-/// separator and one character per field), so a larger count is a lie.
+/// Reads an element count of a text message and rejects one that the rest
+/// of the payload cannot hold: every element takes at least `min_bytes`
+/// bytes (one separator and one character per field), so a larger count
+/// is a lie.
 /// Checking before a buffer is sized from the count bounds what a decoder
 /// allocates by a small multiple of the payload, whatever a peer claims.
 std::size_t get_count(std::istringstream& is, const char* what,
@@ -47,16 +36,122 @@ std::size_t get_count(std::istringstream& is, const char* what,
   return n;
 }
 
-Vec get_vec(std::istringstream& is, const char* what) {
-  const std::size_t n = get_count(is, what, 2);
-  Vec v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> v[i])) {
-      throw WireError(std::string("net: truncated ") + what + " vector");
+// The binary messages (Weights, Batch) are fixed-width little-endian
+// fields written through darl/net/le_bytes.hpp.
+constexpr std::size_t kU64 = 8;
+constexpr std::size_t kF64 = 8;
+constexpr std::size_t kWeightsHeaderBytes = 2 * kU64;  // version, length
+/// worker, version, inferences, steps, env_cost_units.
+constexpr std::size_t kBatchHeaderBytes = 4 * kU64 + kF64;
+/// total_reward, score, length.
+constexpr std::size_t kEpisodeBytes = 2 * kF64 + kU64;
+/// reward, log_prob, two flag bytes and three vector lengths: a
+/// transition with empty vectors, the shortest one there is.
+constexpr std::size_t kMinTransitionBytes = 2 * kF64 + 2 + 3 * kU64;
+
+/// Writes fields at a cursor into a payload sized exactly beforehand.
+class Writer {
+ public:
+  explicit Writer(std::string& out)
+      : at_(reinterpret_cast<unsigned char*>(out.data())) {}
+
+  void u64(std::uint64_t v) {
+    le::put_u64(at_, v);
+    at_ += kU64;
+  }
+  void f64(double v) {
+    le::put_f64(at_, v);
+    at_ += kF64;
+  }
+  void flag(bool v) { *at_++ = v ? 1 : 0; }
+  void vec(const Vec& v) {
+    u64(v.size());
+    le::put_f64s(at_, v.data(), v.size());
+    at_ += v.size() * kF64;
+  }
+  void bytes(const std::string& s) {
+    if (!s.empty()) std::memcpy(at_, s.data(), s.size());
+    at_ += s.size();
+  }
+
+ private:
+  unsigned char* at_;
+};
+
+/// Reads fields off a payload. Every read is checked against the bytes
+/// left, so a short payload is a WireError and never a read past its end.
+class Reader {
+ public:
+  Reader(const std::string& payload, const char* msg)
+      : at_(reinterpret_cast<const unsigned char*>(payload.data())),
+        end_(at_ + payload.size()),
+        msg_(msg) {}
+
+  std::uint64_t u64(const char* what) {
+    need(kU64, what);
+    const std::uint64_t v = le::get_u64(at_);
+    at_ += kU64;
+    return v;
+  }
+  double f64(const char* what) {
+    need(kF64, what);
+    const double v = le::get_f64(at_);
+    at_ += kF64;
+    return v;
+  }
+  bool flag(const char* what) {
+    need(1, what);
+    const unsigned char b = *at_++;
+    if (b > 1) {
+      throw WireError(std::string("net: ") + msg_ + " " + what +
+                      " flag byte " + std::to_string(b) + " is neither 0 nor 1");
+    }
+    return b == 1;
+  }
+  /// A count of elements that each take at least `min_bytes`: one the
+  /// rest of the payload cannot hold is a lie, refused before anything is
+  /// sized from it.
+  std::size_t count(const char* what, std::size_t min_bytes) {
+    const std::uint64_t n = u64(what);
+    if (n > left() / min_bytes) {
+      throw WireError(std::string("net: ") + msg_ + " " + what + " " +
+                      std::to_string(n) + " exceeds the " +
+                      std::to_string(left()) + " bytes left in the payload");
+    }
+    return static_cast<std::size_t>(n);
+  }
+  Vec vec(const char* what) {
+    const std::size_t n = count(what, kF64);
+    Vec v(n);
+    le::get_f64s(at_, v.data(), n);
+    at_ += n * kF64;
+    return v;
+  }
+  std::string bytes(std::size_t n) {
+    std::string s(reinterpret_cast<const char*>(at_), n);
+    at_ += n;
+    return s;
+  }
+  void finish() const {
+    if (at_ != end_) {
+      throw WireError(std::string("net: ") + std::to_string(left()) +
+                      " trailing bytes after the " + msg_ + " payload");
     }
   }
-  return v;
-}
+
+ private:
+  std::size_t left() const { return static_cast<std::size_t>(end_ - at_); }
+  void need(std::size_t n, const char* what) const {
+    if (left() < n) {
+      throw WireError(std::string("net: truncated ") + msg_ + " payload at " +
+                      what);
+    }
+  }
+
+  const unsigned char* at_;
+  const unsigned char* end_;
+  const char* msg_;
+};
 
 void expect_tag(std::istream& is, const char* tag, const char* msg) {
   std::string got;
@@ -86,7 +181,7 @@ const char* msg_type_name(MsgType type) {
 }
 
 std::string encode_hello(const HelloMsg& msg) {
-  auto os = make_writer();
+  std::ostringstream os;
   os << "hello " << msg.node << ' ' << msg.protocol << '\n';
   return os.str();
 }
@@ -106,7 +201,7 @@ HelloMsg decode_hello(const std::string& payload) {
 }
 
 std::string encode_job(const JobMsg& msg) {
-  auto os = make_writer();
+  std::ostringstream os;
   os << "job " << rl::algo_name(msg.algo) << '\n';
   os << "hidden " << msg.hidden.size();
   for (const std::size_t h : msg.hidden) os << ' ' << h;
@@ -154,83 +249,86 @@ JobMsg decode_job(const std::string& payload) {
 }
 
 std::string encode_weights(const WeightsMsg& msg) {
-  auto os = make_writer();
-  os << "weights " << msg.version << ' ' << msg.checkpoint.size() << '\n';
-  os << msg.checkpoint;
-  return os.str();
+  std::string out(kWeightsHeaderBytes + msg.checkpoint.size(), '\0');
+  Writer w(out);
+  w.u64(msg.version);
+  w.u64(msg.checkpoint.size());
+  w.bytes(msg.checkpoint);
+  return out;
 }
 
 WeightsMsg decode_weights(const std::string& payload) {
-  std::istringstream is(payload);
-  expect_tag(is, "weights", "Weights");
+  Reader r(payload, "Weights");
   WeightsMsg msg;
-  msg.version = get_value<std::uint64_t>(is, "Weights version");
-  const auto bytes = get_count(is, "Weights length", 1);
-  is.get();
-  std::string text(bytes, '\0');
-  is.read(text.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(is.gcount()) != bytes) {
-    throw WireError("net: truncated Weights checkpoint");
-  }
-  msg.checkpoint = std::move(text);
+  msg.version = r.u64("version");
+  msg.checkpoint = r.bytes(r.count("checkpoint length", 1));
+  r.finish();
   return msg;
 }
 
 std::string encode_batch_msg(const BatchMsg& msg) {
-  auto os = make_writer();
-  os << "batch " << msg.worker << ' ' << msg.version << '\n';
-  os << "cost " << msg.env_cost_units << ' ' << msg.inferences << ' '
-     << msg.steps << '\n';
-  os << "episodes " << msg.episodes.size() << '\n';
-  for (const env::EpisodeRecord& ep : msg.episodes) {
-    os << ep.total_reward << ' ' << ep.score << ' ' << ep.length << '\n';
-  }
-  os << "transitions " << msg.transitions.size() << '\n';
+  std::size_t size = kBatchHeaderBytes + kU64 +
+                     msg.episodes.size() * kEpisodeBytes + kU64;
   for (const rl::Transition& t : msg.transitions) {
-    os << t.reward << ' ' << t.log_prob << ' ' << (t.terminated ? 1 : 0) << ' '
-       << (t.truncated ? 1 : 0) << '\n';
-    put_vec(os, t.obs);
-    put_vec(os, t.action);
-    put_vec(os, t.next_obs);
+    size += kMinTransitionBytes +
+            (t.obs.size() + t.action.size() + t.next_obs.size()) * kF64;
   }
-  return os.str();
+  std::string out(size, '\0');
+  Writer w(out);
+  w.u64(msg.worker);
+  w.u64(msg.version);
+  w.u64(msg.inferences);
+  w.u64(msg.steps);
+  w.f64(msg.env_cost_units);
+  w.u64(msg.episodes.size());
+  for (const env::EpisodeRecord& ep : msg.episodes) {
+    w.f64(ep.total_reward);
+    w.f64(ep.score);
+    w.u64(ep.length);
+  }
+  w.u64(msg.transitions.size());
+  for (const rl::Transition& t : msg.transitions) {
+    w.f64(t.reward);
+    w.f64(t.log_prob);
+    w.flag(t.terminated);
+    w.flag(t.truncated);
+    w.vec(t.obs);
+    w.vec(t.action);
+    w.vec(t.next_obs);
+  }
+  return out;
 }
 
 BatchMsg decode_batch_msg(const std::string& payload) {
-  std::istringstream is(payload);
-  expect_tag(is, "batch", "Batch");
+  Reader r(payload, "Batch");
   BatchMsg msg;
-  msg.worker = get_value<std::uint64_t>(is, "Batch worker");
-  msg.version = get_value<std::uint64_t>(is, "Batch version");
-  expect_tag(is, "cost", "Batch");
-  msg.env_cost_units = get_value<double>(is, "Batch env_cost_units");
-  msg.inferences = get_value<std::uint64_t>(is, "Batch inferences");
-  msg.steps = get_value<std::uint64_t>(is, "Batch steps");
-  expect_tag(is, "episodes", "Batch");
-  const auto n_eps = get_count(is, "Batch episode count", 6);
-  msg.episodes.resize(n_eps);
+  msg.worker = r.u64("worker");
+  msg.version = r.u64("version");
+  msg.inferences = r.u64("inferences");
+  msg.steps = r.u64("steps");
+  msg.env_cost_units = r.f64("env_cost_units");
+  msg.episodes.resize(r.count("episode count", kEpisodeBytes));
   for (env::EpisodeRecord& ep : msg.episodes) {
-    ep.total_reward = get_value<double>(is, "Batch episode reward");
-    ep.score = get_value<double>(is, "Batch episode score");
-    ep.length = get_value<std::size_t>(is, "Batch episode length");
+    ep.total_reward = r.f64("episode reward");
+    ep.score = r.f64("episode score");
+    ep.length = r.u64("episode length");
   }
-  expect_tag(is, "transitions", "Batch");
-  const auto n_tr = get_count(is, "Batch transition count", 14);
-  msg.transitions.resize(n_tr);
+  msg.transitions.resize(r.count("transition count", kMinTransitionBytes));
   for (rl::Transition& t : msg.transitions) {
-    t.reward = get_value<double>(is, "Batch reward");
-    t.log_prob = get_value<double>(is, "Batch log_prob");
-    t.terminated = get_value<int>(is, "Batch terminated") != 0;
-    t.truncated = get_value<int>(is, "Batch truncated") != 0;
-    t.obs = get_vec(is, "Batch obs");
-    t.action = get_vec(is, "Batch action");
-    t.next_obs = get_vec(is, "Batch next_obs");
+    t.reward = r.f64("reward");
+    t.log_prob = r.f64("log_prob");
+    t.terminated = r.flag("terminated");
+    t.truncated = r.flag("truncated");
+    t.obs = r.vec("obs length");
+    t.action = r.vec("action length");
+    t.next_obs = r.vec("next_obs length");
   }
+  r.finish();
   return msg;
 }
 
 std::string encode_bye(const ByeMsg& msg) {
-  auto os = make_writer();
+  std::ostringstream os;
   os << "bye " << msg.node << '\n';
   return os.str();
 }

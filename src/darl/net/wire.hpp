@@ -1,17 +1,35 @@
 // darl/net/wire.hpp
 //
-// The actor–learner message schema and its codec (DESIGN.md §17). Each
-// message rides one frame (darl/net/frame.hpp); payloads are the same
-// text serialization the checkpoint-v2 format uses — every double is
-// written at round-trip precision (17 significant digits), so a value
-// decoded on the far side is *bitwise* the value encoded, which is what
-// keeps the distributed runtime's campaign CSVs byte-identical to the
-// in-process path. Integrity comes from the frame digest, so the codec
-// itself can stay a plain token stream.
+// The actor–learner message schema and its codec (DESIGN.md §17), wire
+// protocol v2. Each message rides one frame (darl/net/frame.hpp), whose
+// fnv1a64 digest guards the payload bytes.
+//
+// The per-iteration messages are binary, fixed-width little-endian fields
+// (darl/net/le_bytes.hpp):
+//
+//   Weights  u64 version, u64 length, then `length` bytes of checkpoint-v2
+//            text. The checkpoint is darl's one parameter codec: it carries
+//            kind, dims and its own digest, and it is the on-disk format.
+//   Batch    u64 worker, version, inferences, steps; f64 env_cost_units;
+//            u64 episode count, then (f64 total_reward, f64 score,
+//            u64 length) per episode; u64 transition count, then per
+//            transition f64 reward, f64 log_prob, one flag byte each for
+//            terminated and truncated (0 or 1), and obs, action and
+//            next_obs, each a u64 length and that many raw doubles.
+//
+// A double crosses as its IEEE-754 bits, so a value decoded on the far
+// side is *bitwise* the value encoded (NaN payloads and -0.0 included),
+// which keeps the distributed runtime's campaign CSVs byte-identical to
+// the in-process path. Every count is checked against the bytes left in
+// the payload before anything is sized from it, and a short payload, a
+// flag byte other than 0 or 1, or trailing bytes are a WireError.
+//
+// Hello, Job and Bye are short text lines, and Stop is empty. A peer of
+// another protocol version fails at the version check in Hello.
 //
 // Protocol (learner-driven, synchronous per iteration):
 //
-//   actor -> learner   Hello{node}                      (once, on connect)
+//   actor -> learner   Hello{node, protocol}            (once, on connect)
 //   learner -> actor   Job{algo, seed, topology, env}   (once)
 //   learner -> actor   Weights{version, checkpoint}     (per iteration)
 //   actor -> learner   Batch{worker, version, cost,     (one per worker
@@ -52,7 +70,7 @@ class WireError : public NetError {
   explicit WireError(const std::string& what_arg) : NetError(what_arg) {}
 };
 
-inline constexpr std::uint64_t kProtocolVersion = 1;
+inline constexpr std::uint64_t kProtocolVersion = 2;
 
 /// Actor's opening handshake.
 struct HelloMsg {

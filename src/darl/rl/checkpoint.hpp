@@ -37,14 +37,16 @@ struct Checkpoint {
   Vec params;
 };
 
-/// Serialize a checkpoint (v2: text header + base-10 parameter lines at
-/// round-trip precision + fnv1a64 payload digest; robust and diffable,
-/// adequate for the small policies here).
+/// Serialize a checkpoint (v2: text header + one base-10 parameter per
+/// line as %.17g, which round-trips every double + fnv1a64 payload digest;
+/// robust and diffable, adequate for the small policies here). The numbers
+/// go through std::to_chars, not the stream's formatting.
 void save_checkpoint(std::ostream& out, const Checkpoint& checkpoint);
 
 /// Parse a checkpoint written by save_checkpoint (v2) or by the legacy
-/// digest-less v1 format. Throws CheckpointError on a malformed,
-/// truncated or digest-mismatched stream.
+/// digest-less v1 format; reads `in` to its end and parses the numbers
+/// with std::from_chars. Throws CheckpointError on a malformed, truncated
+/// or digest-mismatched stream.
 Checkpoint load_checkpoint(std::istream& in);
 
 /// Convenience file wrappers; throw darl::Error on I/O failure and

@@ -1,26 +1,36 @@
-// Allocation counts on the learner's per-sample paths.
+// Allocation counts on the learner's per-sample paths, and the largest
+// allocation a frame read makes.
 //
 // This binary replaces the global operator new with a counting one, so
-// a test can read how many heap allocations a call makes. A path that
-// keeps its buffers as members allocates while it warms up and never
-// after.
+// a test can read how many heap allocations a call makes and the largest
+// one it asked for. A path that keeps its buffers as members allocates
+// while it warms up and never after.
+
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "darl/common/rng.hpp"
+#include "darl/net/frame.hpp"
 #include "darl/rl/actor_critic.hpp"
 
 namespace {
 std::atomic<long> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t seen = g_largest.load(std::memory_order_relaxed);
+  while (n > seen &&
+         !g_largest.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -72,3 +82,38 @@ TEST(AllocationFree, PolicyGradAfterWarmUp) {
 
 }  // namespace
 }  // namespace darl::rl
+
+namespace darl::net {
+namespace {
+
+// A frame header is outside input. One that claims 200 MiB, under the
+// 256 MiB cap, and then sends 10 bytes must cost about what arrived,
+// not what it claimed.
+TEST(AllocationBound, FrameReadGrowsWithTheBytesThatArrive) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  OwnedFd tx(fds[0]), rx(fds[1]);
+  const std::string payload(10, 'x');
+  unsigned char header[kFrameHeaderBytes];
+  encode_frame_header(1, payload, header);
+  const std::uint64_t claimed = 200ull << 20;
+  for (int i = 0; i < 8; ++i) {
+    header[8 + i] = static_cast<unsigned char>((claimed >> (8 * i)) & 0xFFu);
+  }
+  ASSERT_EQ(send_all(tx.get(), header, sizeof(header)).status, IoStatus::Ok);
+  ASSERT_EQ(send_all(tx.get(), payload).status, IoStatus::Ok);
+  ::shutdown(tx.get(), SHUT_WR);
+
+  g_largest.store(0);
+  Frame frame;
+  try {
+    read_frame(rx.get(), frame);
+    ADD_FAILURE() << "a frame 200 MiB short was read without error";
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.kind(), FrameError::Kind::Truncated) << e.what();
+  }
+  EXPECT_LE(g_largest.load(), std::size_t{2} << 20);
+}
+
+}  // namespace
+}  // namespace darl::net

@@ -150,6 +150,16 @@ TEST(LintNewDelete, FlagsRawNewAndDelete) {
   EXPECT_TRUE(has_rule(scan("delete[] arr;"), "raw-new-delete"));
 }
 
+// A header name survives stripping; an include line is not an expression.
+TEST(LintNewDelete, CleanIncludeOfTheNewHeader) {
+  EXPECT_TRUE(scan("#include <new>").empty());
+  EXPECT_TRUE(scan("  #  include <new>  // std::bad_alloc").empty());
+  const auto findings = scan("#include <new>\nint* p = new int;");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "raw-new-delete");
+  EXPECT_EQ(findings[0].line, 2u);
+}
+
 TEST(LintNewDelete, CleanDeletedFunctionsAndIdentifiers) {
   EXPECT_TRUE(scan("Foo(const Foo&) = delete;").empty());
   EXPECT_TRUE(scan("auto p = std::make_unique<int>(3);").empty());

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -397,6 +398,49 @@ TEST(NetWire, BatchRoundTripBitwise) {
   }
 }
 
+/// Builds a binary payload field by field in the v2 wire's layout:
+/// little-endian u64s and doubles as their IEEE-754 bits, spelled out
+/// byte by byte here so the tests check the byte order independently of
+/// the codec.
+struct Payload {
+  std::string bytes;
+
+  Payload& u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    }
+    return *this;
+  }
+  Payload& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
+  Payload& byte(unsigned char v) {
+    bytes.push_back(static_cast<char>(v));
+    return *this;
+  }
+  Payload& text(const std::string& s) {
+    bytes += s;
+    return *this;
+  }
+  /// worker, version, inferences, steps and env_cost_units, all zero.
+  Payload& batch_header() { return u64(0).u64(0).u64(0).u64(0).f64(0.0); }
+};
+
+/// `decode(payload)` must throw a WireError whose message names `field`,
+/// so a test fails if some other check fired first.
+template <typename Decode>
+void expect_wire_error(Decode decode, const std::string& payload,
+                       const std::string& field) {
+  try {
+    decode(payload);
+    ADD_FAILURE() << "decoded without error; expected one naming '" << field
+                  << "'";
+  } catch (const net::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr std::uint64_t kTrillion = 1000000000000ull;
+
 // Each payload below is a few dozen bytes and claims 10^12 elements
 // somewhere. The decoder must turn the lie into a WireError before it
 // sizes a buffer from the count: sizing first would ask for terabytes and
@@ -417,40 +461,59 @@ TEST(NetWire, JobEnvLengthIsBoundedByThePayload) {
 }
 
 TEST(NetWire, WeightsLengthIsBoundedByThePayload) {
-  const std::string p = "weights 3 1000000000000\ndarl-checkpoint-v2\n";
+  const std::string p =
+      Payload().u64(3).u64(kTrillion).text("darl-checkpoint-v2\n").bytes;
   EXPECT_LT(p.size(), 64u);
-  EXPECT_THROW(net::decode_weights(p), net::WireError);
+  expect_wire_error(net::decode_weights, p, "checkpoint length");
 }
 
 TEST(NetWire, BatchEpisodeCountIsBoundedByThePayload) {
-  const std::string p = "batch 0 0\ncost 0 0 0\nepisodes 1000000000000\n1 1 1\n";
+  const std::string p =
+      Payload().batch_header().u64(kTrillion).f64(1.0).bytes;
   EXPECT_LT(p.size(), 64u);
-  EXPECT_THROW(net::decode_batch_msg(p), net::WireError);
+  expect_wire_error(net::decode_batch_msg, p, "episode count");
 }
 
 TEST(NetWire, BatchTransitionCountIsBoundedByThePayload) {
-  const std::string p =
-      "batch 0 0\ncost 0 0 0\nepisodes 0\ntransitions 1000000000000\n";
+  const std::string p = Payload().batch_header().u64(0).u64(kTrillion).bytes;
   EXPECT_LT(p.size(), 64u);
-  EXPECT_THROW(net::decode_batch_msg(p), net::WireError);
+  expect_wire_error(net::decode_batch_msg, p, "transition count");
 }
 
 TEST(NetWire, BatchVectorLengthIsBoundedByThePayload) {
-  const std::string p =
-      "batch 0 0\ncost 0 0 0\nepisodes 0\ntransitions 1\n"
-      "0 0 0 0\n1000000000000 1\n";
-  EXPECT_LT(p.size(), 80u);  // one transition's fixed fields come first
-  EXPECT_THROW(net::decode_batch_msg(p), net::WireError);
+  // One transition has to fit before its obs length is read: the count
+  // bound wants its 42-byte minimum after the count, so this payload
+  // carries reward, log_prob, both flags, the lying obs length and 16
+  // bytes for the two other lengths.
+  const std::string p = Payload()
+                            .batch_header()
+                            .u64(0)
+                            .u64(1)
+                            .f64(0.0)
+                            .f64(0.0)
+                            .byte(0)
+                            .byte(0)
+                            .u64(kTrillion)
+                            .u64(0)
+                            .u64(0)
+                            .bytes;
+  EXPECT_EQ(p.size(), 98u);  // 40 header + 2 counts + 42
+  expect_wire_error(net::decode_batch_msg, p, "obs length");
 }
 
 // The bound is each element's shortest encoding, so the tightest honest
-// messages (one-digit fields, empty vectors, a trailing string that ends
-// the payload) still decode.
+// messages (empty vectors, an empty checkpoint, a trailing string that
+// ends the payload) still decode, and their encodings are exactly the
+// minimum sizes the bounds assume.
 TEST(NetWire, TightestHonestMessagesStillDecode) {
   net::BatchMsg b;
   b.episodes.resize(2);
   b.transitions.resize(3);
-  const net::BatchMsg b2 = net::decode_batch_msg(net::encode_batch_msg(b));
+  const std::string bp = net::encode_batch_msg(b);
+  // 40-byte header, two counts, 24 bytes per episode and 42 per
+  // transition with empty vectors.
+  EXPECT_EQ(bp.size(), 40u + 16u + 2u * 24u + 3u * 42u);
+  const net::BatchMsg b2 = net::decode_batch_msg(bp);
   EXPECT_EQ(b2.episodes.size(), 2u);
   EXPECT_EQ(b2.transitions.size(), 3u);
 
@@ -463,7 +526,143 @@ TEST(NetWire, TightestHonestMessagesStillDecode) {
 
   net::WeightsMsg w;
   w.version = 1;
-  EXPECT_TRUE(net::decode_weights(net::encode_weights(w)).checkpoint.empty());
+  const std::string wp = net::encode_weights(w);
+  EXPECT_EQ(wp.size(), 16u);
+  const net::WeightsMsg w2 = net::decode_weights(wp);
+  EXPECT_EQ(w2.version, 1u);
+  EXPECT_TRUE(w2.checkpoint.empty());
+}
+
+/// An honest Batch with every field set.
+net::BatchMsg honest_batch() {
+  net::BatchMsg b;
+  b.worker = 2;
+  b.version = 9;
+  b.env_cost_units = 12.5;
+  b.inferences = 40;
+  b.steps = 32;
+  b.episodes.push_back({1.5, -0.25, 11});
+  for (int i = 0; i < 2; ++i) {
+    rl::Transition t;
+    t.obs = Vec{0.5 * i, -1.0};
+    t.action = Vec{1.0};
+    t.next_obs = Vec{0.25, 2.0 * i};
+    t.reward = 1.0 / 3.0;
+    t.log_prob = -0.5;
+    t.terminated = (i == 1);
+    t.truncated = (i == 0);
+    b.transitions.push_back(t);
+  }
+  return b;
+}
+
+net::WeightsMsg honest_weights() {
+  rl::Checkpoint ck;
+  ck.kind = rl::AlgoKind::PPO;
+  ck.obs_dim = 2;
+  ck.action_dim = 1;
+  ck.params = Vec{0.1, -0.2};
+  std::ostringstream os;
+  rl::save_checkpoint(os, ck);
+  net::WeightsMsg w;
+  w.version = 4;
+  w.checkpoint = os.str();
+  return w;
+}
+
+// A binary payload has no terminator to catch a cut: each field's read is
+// checked against the bytes left, so every strict prefix is a WireError,
+// never a read past the end or a silently short message.
+TEST(NetWire, EveryStrictPrefixOfABinaryPayloadIsRejected) {
+  const std::string batch = net::encode_batch_msg(honest_batch());
+  const std::string weights = net::encode_weights(honest_weights());
+  for (std::size_t n = 0; n < batch.size(); ++n) {
+    EXPECT_THROW(net::decode_batch_msg(batch.substr(0, n)), net::WireError)
+        << "Batch prefix of " << n << " of " << batch.size() << " bytes";
+  }
+  for (std::size_t n = 0; n < weights.size(); ++n) {
+    EXPECT_THROW(net::decode_weights(weights.substr(0, n)), net::WireError)
+        << "Weights prefix of " << n << " of " << weights.size() << " bytes";
+  }
+  EXPECT_NO_THROW(net::decode_batch_msg(batch));
+  EXPECT_NO_THROW(net::decode_weights(weights));
+}
+
+TEST(NetWire, TrailingByteIsRejected) {
+  expect_wire_error(net::decode_batch_msg,
+                    net::encode_batch_msg(honest_batch()) + '\0',
+                    "trailing bytes");
+  expect_wire_error(net::decode_weights,
+                    net::encode_weights(honest_weights()) + '\0',
+                    "trailing bytes");
+}
+
+TEST(NetWire, FlagByteOtherThanZeroOrOneIsRejected) {
+  net::BatchMsg b;
+  b.transitions.resize(1);
+  const std::string p = net::encode_batch_msg(b);
+  // The flags follow the header, both counts, reward and log_prob.
+  const std::size_t terminated_at = 40 + 16 + 16;
+  for (const std::size_t at : {terminated_at, terminated_at + 1}) {
+    for (const unsigned char bad : {2, 0xFF}) {
+      std::string q = p;
+      q[at] = static_cast<char>(bad);
+      expect_wire_error(net::decode_batch_msg, q, "flag byte");
+    }
+  }
+}
+
+// Doubles cross as their bits. An environment or policy that yields a
+// non-finite value must see it arrive as sent: a decoder that refused
+// "nan" or "inf" (as operator>> does) would fail such a run only when it
+// runs distributed, and one that lost a NaN's sign or payload would make
+// the two placements' results differ.
+TEST(NetWire, BatchCarriesNonFiniteValuesBitwise) {
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double payload_nan = std::bit_cast<double>(0x7FF800000000BEEFull);
+  const double signaling = std::bit_cast<double>(0xFFF0000000000001ull);
+  const Vec odd{qnan,  -qnan, payload_nan, -payload_nan, signaling, inf,
+                -inf,  -0.0,  tiny,        -tiny,        0x1p-1030};
+
+  net::BatchMsg b;
+  b.env_cost_units = -0.0;
+  b.episodes.push_back({qnan, -inf, 3});
+  rl::Transition t;
+  t.obs = odd;
+  t.action = Vec{-0.0, signaling};
+  t.next_obs = Vec(odd.rbegin(), odd.rend());
+  t.reward = payload_nan;
+  t.log_prob = -inf;
+  b.transitions.push_back(t);
+
+  const net::BatchMsg b2 = net::decode_batch_msg(net::encode_batch_msg(b));
+  auto same_bits = [](const Vec& x, const Vec& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(b2.env_cost_units), bits(b.env_cost_units));
+  ASSERT_EQ(b2.episodes.size(), 1u);
+  EXPECT_EQ(bits(b2.episodes[0].total_reward), bits(qnan));
+  EXPECT_EQ(bits(b2.episodes[0].score), bits(-inf));
+  ASSERT_EQ(b2.transitions.size(), 1u);
+  const rl::Transition& t2 = b2.transitions[0];
+  EXPECT_TRUE(same_bits(t2.obs, t.obs));
+  EXPECT_TRUE(same_bits(t2.action, t.action));
+  EXPECT_TRUE(same_bits(t2.next_obs, t.next_obs));
+  EXPECT_EQ(bits(t2.reward), bits(t.reward));
+  EXPECT_EQ(bits(t2.log_prob), bits(t.log_prob));
+}
+
+// A darl_worker built before protocol 2 opens with exactly this Hello.
+// It must be refused at the handshake with the typed mismatch, not get as
+// far as a Batch the learner cannot read.
+TEST(NetWire, V1HelloIsRefused) {
+  ASSERT_EQ(net::kProtocolVersion, 2u);
+  expect_wire_error(net::decode_hello, "hello 1 1\n",
+                    "protocol version mismatch");
 }
 
 TEST(NetWire, EveryMessageTypeOverASocketpair) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "darl/common/elementary.hpp"
 #include "darl/common/error.hpp"
+#include "darl/common/rng.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/pendulum.hpp"
 #include "darl/nn/distributions.hpp"
@@ -673,6 +676,65 @@ TEST(Checkpoint, V2RoundTripIsExactAndCarriesDigest) {
   for (std::size_t i = 0; i < ck.params.size(); ++i) {
     EXPECT_EQ(loaded.params[i], ck.params[i]) << "param " << i;
   }
+}
+
+// The bytes save_checkpoint writes are pinned: every checkpoint file on
+// disk and every Weights message carries this text, and its fnv1a64
+// footer digests it, so a codec change that moved one byte would orphan
+// old files. The edge values are spelled out; a real policy vector (4,610
+// doubles) is pinned by its length and digest. The expected bytes are
+// what an ostream at precision(17) writes, the format of every checkpoint
+// darl has written.
+TEST(Checkpoint, V2BytesArePinned) {
+  AlgorithmSpec spec;
+  spec.kind = AlgoKind::PPO;
+  auto algo = make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 31);
+
+  Checkpoint edges;
+  edges.kind = AlgoKind::SAC;
+  edges.obs_dim = 3;
+  edges.action_dim = 2;
+  edges.params = {-0.0,
+                  std::numeric_limits<double>::denorm_min(),
+                  std::numeric_limits<double>::min(),
+                  std::numeric_limits<double>::max(),
+                  1.0 / 3.0,
+                  0.1};
+  std::ostringstream edges_out;
+  save_checkpoint(edges_out, edges);
+  EXPECT_EQ(edges_out.str(),
+            "darl-checkpoint-v2\n"
+            "SAC 3 2 6\n"
+            "-0\n"
+            "4.9406564584124654e-324\n"
+            "2.2250738585072014e-308\n"
+            "1.7976931348623157e+308\n"
+            "0.33333333333333331\n"
+            "0.10000000000000001\n"
+            "fnv1a64 2e7185215302c030\n");
+
+  Checkpoint ck = edges;
+  ck.kind = AlgoKind::PPO;
+  ck.obs_dim = 4;
+  ck.action_dim = 1;
+  const Vec policy = algo->policy_params();
+  ASSERT_EQ(policy.size(), 4610u);
+  ck.params.insert(ck.params.end(), policy.begin(), policy.end());
+  std::ostringstream out;
+  save_checkpoint(out, ck);
+  const std::string text = out.str();
+  EXPECT_EQ(text.size(), 94580u);
+  EXPECT_EQ(fnv1a64(text), 0x23724e427f1507a0ull);
+
+  // Every value comes back with its bits, the sign of -0.0 included
+  // (EXPECT_EQ on doubles cannot see that sign).
+  std::istringstream in(text);
+  const Checkpoint loaded = load_checkpoint(in);
+  ASSERT_EQ(loaded.params.size(), ck.params.size());
+  EXPECT_EQ(std::memcmp(loaded.params.data(), ck.params.data(),
+                        ck.params.size() * sizeof(double)),
+            0);
+  EXPECT_TRUE(std::signbit(loaded.params[0]));
 }
 
 TEST(Checkpoint, V2DetectsCorruptionAndTruncation) {

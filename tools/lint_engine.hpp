@@ -15,7 +15,9 @@
 //   wall-clock        argless now() / system_clock / clock_gettime /
 //                     gettimeofday outside stopwatch/obs/log
 //   unordered-iter    iteration over a declared unordered_map/unordered_set
-//   raw-new-delete    raw new / delete expressions (= delete is fine)
+//   raw-new-delete    raw new / delete expressions (= delete is fine;
+//                     #include lines, such as `#include <new>`, are not
+//                     expressions)
 //   float-literal     float literals inside ode/ linalg/ rl/ nn/
 //   std-endl          std::endl (flushes; use '\n')
 //   pragma-once       .hpp file without #pragma once
@@ -395,6 +397,7 @@ inline std::vector<Finding> scan_source(const std::string& path_in,
   static const std::regex wall_clock_re(
       R"(\bnow\s*\(\s*\)|\bsystem_clock\b|\bclock_gettime\b|\bgettimeofday\b)");
   static const std::regex new_re(R"(\bnew\b)");
+  static const std::regex include_re(R"(^\s*#\s*include\b)");
   static const std::regex delete_re(R"(\bdelete\b)");
   static const std::regex deleted_fn_re(R"(=\s*delete\b)");
   static const std::regex float_literal_re(
@@ -440,12 +443,15 @@ inline std::vector<Finding> scan_source(const std::string& path_in,
           "wall-clock read outside stopwatch/obs/log; route host timing "
           "through darl::Stopwatch");
     }
-    if (std::regex_search(line, new_re)) {
+    // A header name survives stripping, so `#include <new>` would read as
+    // a raw new; include lines hold no expressions.
+    const bool include_line = std::regex_search(line, include_re);
+    if (!include_line && std::regex_search(line, new_re)) {
       add("raw-new-delete", line_no,
           "raw 'new'; use std::make_unique / containers (suppress only for "
           "intentionally leaked singletons)");
     }
-    if (std::regex_search(line, delete_re) &&
+    if (!include_line && std::regex_search(line, delete_re) &&
         !std::regex_search(line, deleted_fn_re)) {
       add("raw-new-delete", line_no,
           "raw 'delete'; ownership belongs in a smart pointer or container");
