@@ -10,12 +10,10 @@
 #include <csignal>
 #include <cstring>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "darl/common/error.hpp"
-#include "darl/net/queue.hpp"
 #include "darl/net/socket.hpp"
 #include "darl/net/wire.hpp"
 #include "darl/obs/metrics.hpp"
@@ -103,64 +101,12 @@ class ChildReaper {
   std::vector<pid_t> pids_;
 };
 
-/// One actor connection. The reader thread is the only thread that
-/// recv()s on the channel (the learner thread only send()s — the
-/// MsgChannel contract) and the only writer of `error`/`saw_bye` until it
-/// exits; the learner reads them after join(), or after the inbox closes
-/// behind them.
-struct ActorLink {
-  net::MsgChannel channel;
-  net::BoundedQueue<net::BatchMsg> inbox;
-  std::thread reader;
-  std::atomic<bool> stopping{false};  // Stop sent: EOF is now expected
-  std::string error;
-  bool saw_bye = false;
-
-  ActorLink(net::MsgChannel ch, std::size_t inbox_capacity)
-      : channel(std::move(ch)), inbox(inbox_capacity) {}
-  ActorLink(const ActorLink&) = delete;
-  ActorLink& operator=(const ActorLink&) = delete;
-
-  /// Unblocks the reader (parked in recv or in a full inbox's push) before
-  /// joining it; after an orderly finish both calls are no-ops.
-  ~ActorLink() {
-    inbox.close();
-    net::shutdown_socket(channel.fd());
-    if (reader.joinable()) reader.join();
-  }
-
-  void read() {
-    try {
-      net::MsgType type;
-      std::string payload;
-      while (channel.recv(type, payload)) {
-        if (type == net::MsgType::Batch) {
-          inbox.push(net::decode_batch_msg(payload));
-        } else if (type == net::MsgType::Bye) {
-          saw_bye = true;
-          break;
-        } else {
-          error = std::string("unexpected ") + net::msg_type_name(type);
-          break;
-        }
-      }
-      if (!saw_bye && error.empty() &&
-          !stopping.load(std::memory_order_acquire)) {
-        error = "actor closed the connection mid-run";
-      }
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-    inbox.close();
-  }
-};
-
-/// Nodes 1..N-1 as actor processes, one darl/net link each. Construction
-/// brings the fleet up (listen, spawn, accept + Hello, Job, readers);
-/// sync/collect are the per-iteration Weights-out / Batch-in exchange;
-/// finish() is the orderly Stop/Bye. Any other exit unwinds through the
-/// members: links unblock and join their readers, then spawned actors
-/// are killed and reaped, then the listener closes.
+/// Nodes 1..N-1 as actor processes, one darl/net link each, driven by
+/// the training loop's own thread. Construction brings the fleet up
+/// (listen, spawn, accept + Hello, Job); sync/collect are the
+/// per-iteration Weights-out / Batch-in exchange; finish() is the orderly
+/// Stop/Bye. Any other exit unwinds through the members: the links close,
+/// then spawned actors are killed and reaped, then the listener closes.
 class SocketNodes final : public RemoteNodes {
  public:
   SocketNodes(const DistributedOptions& options, const Run& run);
@@ -170,7 +116,19 @@ class SocketNodes final : public RemoteNodes {
   void finish() override;
 
  private:
-  const double io_timeout_s_;
+  /// Node `node`'s next message, which must be a `want`, decoded. A
+  /// transport, framing or decoding failure (a silent or dead actor
+  /// included) is rethrown as a NetError that names the node.
+  template <typename Decode>
+  auto receive(std::size_t node, net::MsgType want, Decode decode) {
+    try {
+      return decode(links_[node].expect(want));
+    } catch (const net::NetError& e) {
+      throw net::NetError("actor node " + std::to_string(node) + ": " +
+                          e.what());
+    }
+  }
+
   const std::size_t nodes_;
   const std::size_t cores_;
   const rl::AlgoKind algo_;
@@ -179,12 +137,11 @@ class SocketNodes final : public RemoteNodes {
   std::uint64_t shipped_version_ = 0;
   net::Listener listener_;
   ChildReaper children_;
-  std::vector<std::unique_ptr<ActorLink>> links_;  // by node; [0] unused
+  std::vector<net::MsgChannel> links_;  // by node; [0] unused
 };
 
 SocketNodes::SocketNodes(const DistributedOptions& options, const Run& run)
-    : io_timeout_s_(options.io_timeout_s),
-      nodes_(run.request.deployment.nodes),
+    : nodes_(run.request.deployment.nodes),
       cores_(run.request.deployment.cores_per_node),
       algo_(run.request.algo.kind),
       obs_dim_(run.obs_dim),
@@ -218,20 +175,18 @@ SocketNodes::SocketNodes(const DistributedOptions& options, const Run& run)
                           std::to_string(nodes_ - 1) + " actor(s) on " + bound);
     }
     DARL_COUNTER_ADD("net.accepts", 1);
-    net::set_io_timeout(conn.get(), options.io_timeout_s);
-    net::MsgChannel ch(std::move(conn));
+    net::MsgChannel ch(std::move(conn), options.io_timeout_s);
     const net::HelloMsg hello =
         net::decode_hello(ch.expect(net::MsgType::Hello));
     DARL_CHECK(hello.node >= 1 && hello.node < nodes_,
                "actor announced node " << hello.node << " outside 1.."
                                        << nodes_ - 1);
-    DARL_CHECK(links_[hello.node] == nullptr,
+    DARL_CHECK(!links_[hello.node].valid(),
                "two actors announced node " << hello.node);
-    links_[hello.node] = std::make_unique<ActorLink>(
-        std::move(ch), /*inbox_capacity=*/cores_ * 2);
+    links_[hello.node] = std::move(ch);
   }
 
-  // Ship each actor its job, then start its reader.
+  // Ship each actor its job.
   net::JobMsg job;
   job.algo = algo_;
   const std::vector<std::size_t>& sizes = run.algo.shape().sizes;
@@ -245,11 +200,7 @@ SocketNodes::SocketNodes(const DistributedOptions& options, const Run& run)
   job.env_spec = run.request.env_spec;
   for (std::size_t node = 1; node < nodes_; ++node) {
     job.node = node;
-    links_[node]->channel.send(net::MsgType::Job, net::encode_job(job));
-  }
-  for (std::size_t node = 1; node < nodes_; ++node) {
-    ActorLink* link = links_[node].get();
-    link->reader = std::thread([link] { link->read(); });
+    links_[node].send(net::MsgType::Job, net::encode_job(job));
   }
 }
 
@@ -266,7 +217,7 @@ void SocketNodes::sync(std::uint64_t version, const Vec& params) {
   weights.checkpoint = os.str();
   const std::string payload = net::encode_weights(weights);
   for (std::size_t node = 1; node < nodes_; ++node) {
-    links_[node]->channel.send(net::MsgType::Weights, payload);
+    links_[node].send(net::MsgType::Weights, payload);
     DARL_COUNTER_ADD("net.weights_published", 1);
   }
   shipped_version_ = version;
@@ -276,21 +227,14 @@ std::vector<net::BatchMsg> SocketNodes::collect() {
   std::vector<net::BatchMsg> batches;
   batches.reserve((nodes_ - 1) * cores_);
   for (std::size_t node = 1; node < nodes_; ++node) {
-    ActorLink& link = *links_[node];
     const std::string who = "actor node " + std::to_string(node);
     // A worker id off the wire indexes learner state: accept only the
     // sender's own workers, once each per iteration.
     const std::uint64_t first = node * cores_;
     std::vector<bool> seen(cores_, false);
     for (std::size_t c = 0; c < cores_; ++c) {
-      net::BatchMsg msg;
-      const net::QueueOutcome got = link.inbox.pop(msg, io_timeout_s_);
-      if (got != net::QueueOutcome::Ok) {
-        throw net::NetError(who + ": " +
-                            (got == net::QueueOutcome::TimedOut
-                                 ? std::string("timed out waiting for a batch")
-                                 : link.error));
-      }
+      net::BatchMsg msg =
+          receive(node, net::MsgType::Batch, net::decode_batch_msg);
       if (msg.worker < first || msg.worker - first >= cores_) {
         throw net::NetError(who + " sent a batch for worker " +
                             std::to_string(msg.worker) +
@@ -320,21 +264,16 @@ std::vector<net::BatchMsg> SocketNodes::collect() {
 }
 
 void SocketNodes::finish() {
-  // Stop out, Bye back, readers drain.
+  // Stop out, Bye back.
   for (std::size_t node = 1; node < nodes_; ++node) {
-    links_[node]->stopping.store(true, std::memory_order_release);
-    links_[node]->channel.send(net::MsgType::Stop, std::string());
+    links_[node].send(net::MsgType::Stop, std::string());
   }
   for (std::size_t node = 1; node < nodes_; ++node) {
-    links_[node]->reader.join();
-  }
-  for (std::size_t node = 1; node < nodes_; ++node) {
-    if (!links_[node]->error.empty()) {
-      throw net::NetError("actor node " + std::to_string(node) + ": " +
-                          links_[node]->error);
+    const net::ByeMsg bye = receive(node, net::MsgType::Bye, net::decode_bye);
+    if (bye.node != node) {
+      throw net::NetError("actor node " + std::to_string(node) +
+                          " said Bye as node " + std::to_string(bye.node));
     }
-    DARL_CHECK(links_[node]->saw_bye,
-               "actor node " << node << " never sent Bye");
   }
   children_.wait_all();
 }
@@ -363,10 +302,9 @@ std::size_t run_actor(const std::string& endpoint, std::size_t node,
   DARL_CHECK(node >= 1, "actor node must be >= 1 (node 0 is the learner)");
   DARL_CHECK(resolver != nullptr, "actor needs an env-spec resolver");
 
-  net::OwnedFd fd = net::connect_endpoint(net::Endpoint::parse(endpoint),
-                                          connect_timeout_s);
-  net::set_io_timeout(fd.get(), io_timeout_s);
-  net::MsgChannel channel(std::move(fd));
+  net::MsgChannel channel(
+      net::connect_endpoint(net::Endpoint::parse(endpoint), connect_timeout_s),
+      io_timeout_s);
   DARL_COUNTER_ADD("net.connects", 1);
 
   net::HelloMsg hello;
@@ -405,67 +343,42 @@ std::size_t run_actor(const std::string& endpoint, std::size_t node,
   // This node's workers, with their global ids and seed streams.
   WorkerGroup workers(factory, *algo, job.seed, node * job.cores, job.cores);
 
-  // Outbound queue: collection threads block once two batches are in
-  // flight, so a slow learner throttles the actor instead of growing an
-  // unbounded send buffer.
-  net::BoundedQueue<net::BatchMsg> outbox(2);
-  std::string send_error;
-  std::thread sender([&] {
-    try {
-      net::BatchMsg msg;
-      while (outbox.pop(msg) == net::QueueOutcome::Ok) {
-        channel.send(net::MsgType::Batch, net::encode_batch_msg(msg));
-      }
-    } catch (const std::exception& e) {
-      send_error = e.what();
-      outbox.close();
-    }
-  });
-
+  // Worker i's batch lands in slot i - first_id(); this thread sends the
+  // slots in worker order once collection is done, and a slow learner
+  // holds it in a blocked send.
+  std::vector<net::BatchMsg> batches(workers.size());
   std::size_t iterations = 0;
-  bool stopped = false;
-  try {
-    net::MsgType type;
-    std::string payload;
-    while (channel.recv(type, payload)) {
-      if (type == net::MsgType::Stop) {
-        stopped = true;
-        break;
-      }
-      if (type != net::MsgType::Weights) {
-        throw net::WireError(std::string("actor expected Weights, got ") +
-                             net::msg_type_name(type));
-      }
-      const net::WeightsMsg weights = net::decode_weights(payload);
-      std::istringstream ck_in(weights.checkpoint);
-      const rl::Checkpoint ck = rl::load_checkpoint(ck_in);
-      DARL_CHECK(ck.kind == job.algo && ck.obs_dim == obs_dim,
-                 "shipped checkpoint does not match the job interface");
-
-      workers.sync(ck.params);
-      workers.collect(job.per_worker, weights.version,
-                      [&outbox](net::BatchMsg batch) {
-                        outbox.push(std::move(batch));
-                      });
-      // A dead sender shows up as a closed outbox; its reason
-      // (send_error) is only safe to read after the join below.
-      if (outbox.closed()) break;
-      ++iterations;
+  net::MsgType type;
+  std::string payload;
+  while (channel.recv(type, payload)) {
+    if (type == net::MsgType::Stop) {
+      net::ByeMsg bye;
+      bye.node = node;
+      channel.send(net::MsgType::Bye, net::encode_bye(bye));
+      return iterations;
     }
-  } catch (...) {
-    outbox.close();
-    if (sender.joinable()) sender.join();
-    throw;
-  }
+    if (type != net::MsgType::Weights) {
+      throw net::WireError(std::string("actor expected Weights, got ") +
+                           net::msg_type_name(type));
+    }
+    const net::WeightsMsg weights = net::decode_weights(payload);
+    std::istringstream ck_in(weights.checkpoint);
+    const rl::Checkpoint ck = rl::load_checkpoint(ck_in);
+    DARL_CHECK(ck.kind == job.algo && ck.obs_dim == obs_dim,
+               "shipped checkpoint does not match the job interface");
 
-  outbox.close();
-  sender.join();
-  if (!send_error.empty()) throw net::NetError(send_error);
-  if (!stopped) throw net::NetError("learner vanished before sending Stop");
-  net::ByeMsg bye;
-  bye.node = node;
-  channel.send(net::MsgType::Bye, net::encode_bye(bye));
-  return iterations;
+    workers.sync(ck.params);
+    workers.collect(job.per_worker, weights.version,
+                    [&batches, &workers](net::BatchMsg batch) {
+                      batches[batch.worker - workers.first_id()] =
+                          std::move(batch);
+                    });
+    for (const net::BatchMsg& batch : batches) {
+      channel.send(net::MsgType::Batch, net::encode_batch_msg(batch));
+    }
+    ++iterations;
+  }
+  throw net::NetError("learner vanished before sending Stop");
 }
 
 std::unique_ptr<Backend> make_distributed_backend(

@@ -12,7 +12,7 @@
 // What the wire adds to the determinism contract:
 //   * worker i seeds from the same per-id stream in whichever process
 //     hosts it (WorkerGroup), the learner's algorithm from split(1).
-//   * batches travel as raw IEEE-754 bits (wire protocol v2) and weights
+//   * batches travel as raw IEEE-754 bits (wire protocol v3) and weights
 //     as checkpoint-v2 text, whose 17 significant digits round-trip every
 //     finite double, so every parameter and sample is bitwise preserved
 //     across the wire.
@@ -61,8 +61,9 @@ struct DistributedOptions {
   /// learner — forwarded in the spawned workers' argv).
   double connect_timeout_s = 30.0;
 
-  /// Per-syscall I/O timeout on established connections: a wedged peer
-  /// surfaces as FrameError{TimedOut} instead of a hang.
+  /// I/O timeout on established connections, on both ends: it bounds each
+  /// send syscall and each whole received frame, so a wedged or
+  /// trickling peer surfaces as FrameError{TimedOut} instead of a hang.
   double io_timeout_s = 120.0;
 };
 
@@ -85,11 +86,11 @@ class DistributedRllibBackend final : public BackendBase {
 
 /// The actor-process main loop: connect to the learner, handshake, build
 /// the node's rollout workers from the Job, then per iteration load the
-/// shipped checkpoint, collect on one thread per worker, and stream one
-/// Batch per worker back (bounded outbound queue — a slow learner
-/// backpressures collection instead of buffering unboundedly). Returns
-/// the number of iterations served; throws NetError/FrameError/WireError
-/// on transport or protocol failure.
+/// shipped checkpoint, collect on one thread per worker, and send one
+/// Batch per worker back, in worker order, from the calling thread (a
+/// slow learner holds it in a blocked send). Returns the number of
+/// iterations served; throws NetError/FrameError/WireError on transport
+/// or protocol failure.
 std::size_t run_actor(const std::string& endpoint, std::size_t node,
                       const EnvSpecResolver& resolver,
                       double connect_timeout_s = 30.0,

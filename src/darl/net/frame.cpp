@@ -1,9 +1,11 @@
 #include "darl/net/frame.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "darl/common/rng.hpp"
+#include "darl/common/stopwatch.hpp"
 #include "darl/net/le_bytes.hpp"
 
 namespace darl::net {
@@ -47,9 +49,18 @@ void write_frame(int fd, std::uint32_t type, const std::string& payload) {
   if (r.status != IoStatus::Ok) throw_io(r, "write");
 }
 
-bool read_frame(int fd, Frame& out) {
+bool read_frame(int fd, Frame& out, double timeout_s) {
+  // One budget for the whole frame: each read gets what is left of it.
+  const Stopwatch clock;
+  const auto read = [&](void* buf, std::size_t n) {
+    if (timeout_s <= 0.0) return recv_exact(fd, buf, n);
+    const double left = timeout_s - clock.seconds();
+    return left > 0.0 ? recv_exact(fd, buf, n, left)
+                      : IoResult{IoStatus::TimedOut, 0, ETIMEDOUT};
+  };
+
   unsigned char header[kFrameHeaderBytes];
-  IoResult r = recv_exact(fd, header, sizeof(header));
+  IoResult r = read(header, sizeof(header));
   if (r.status == IoStatus::Eof) {
     if (r.n == 0) return false;  // clean close between frames
     throw FrameError(FrameError::Kind::Truncated,
@@ -81,7 +92,7 @@ bool read_frame(int fd, Frame& out) {
     const std::size_t chunk = static_cast<std::size_t>(
         std::min<std::uint64_t>(length - have, kFrameReadChunk));
     out.payload.resize(have + chunk);
-    r = recv_exact(fd, out.payload.data() + have, chunk);
+    r = read(out.payload.data() + have, chunk);
     if (r.status == IoStatus::Eof) {
       throw FrameError(FrameError::Kind::Truncated,
                        "net: peer closed mid-payload (" +

@@ -60,7 +60,10 @@ void write_frame(int fd, std::uint32_t type, const std::string& payload);
 /// Block for the next frame. Returns false on a clean EOF at a frame
 /// boundary; throws FrameError for truncation mid-frame, a bad magic,
 /// an oversized length, a digest mismatch, a receive timeout, or a
-/// transport error.
-bool read_frame(int fd, Frame& out);
+/// transport error. With `timeout_s` > 0 the whole frame, header and
+/// payload, must arrive within that many seconds (FrameError TimedOut
+/// otherwise), however the peer spreads its bytes; 0 leaves each recv to
+/// the socket's own receive timeout.
+bool read_frame(int fd, Frame& out, double timeout_s = 0);
 
 }  // namespace darl::net

@@ -75,6 +75,19 @@ int connect_once(int fd, const Endpoint& ep, double deadline_s) {
   return so_error;
 }
 
+/// One wait of at most `seconds` for `fd` to have something to read:
+/// true when a recv will not block (data, EOF or an error, which the recv
+/// then reports), false when the wait lapsed or a signal cut it short.
+bool poll_input(int fd, double seconds) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  // Whole milliseconds, rounded up so that a short remainder still waits.
+  const int timeout_ms = static_cast<int>(std::min(seconds, 1e6) * 1e3) + 1;
+  const int pr = ::poll(&pfd, 1, timeout_ms);
+  return pr > 0 || (pr < 0 && errno != EINTR);
+}
+
 }  // namespace
 
 Endpoint Endpoint::parse(const std::string& text) {
@@ -218,10 +231,6 @@ OwnedFd connect_endpoint(const Endpoint& ep, double deadline_s) {
                  std::to_string(deadline_s) + "s: " + errno_text(last_err));
 }
 
-void shutdown_socket(int fd) {
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-}
-
 void set_io_timeout(int fd, double seconds) {
   if (seconds < 0.0) seconds = 0.0;
   timeval tv{};
@@ -255,10 +264,17 @@ IoResult recv_some(int fd, void* buf, std::size_t cap) {
   }
 }
 
-IoResult recv_exact(int fd, void* buf, std::size_t n) {
+IoResult recv_exact(int fd, void* buf, std::size_t n, double timeout_s) {
+  const Stopwatch clock;
   std::size_t got = 0;
   char* out = static_cast<char*>(buf);
   while (got < n) {
+    if (timeout_s > 0.0) {
+      const double left = timeout_s - clock.seconds();
+      if (left <= 0.0) return {IoStatus::TimedOut, got, ETIMEDOUT};
+      // A lapsed or interrupted wait goes round to read the clock again.
+      if (!poll_input(fd, left)) continue;
+    }
     IoResult r = recv_some(fd, out + got, n - got);
     if (r.status != IoStatus::Ok) {
       r.n = got;

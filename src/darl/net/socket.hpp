@@ -115,11 +115,6 @@ OwnedFd accept_retry(int listen_fd);
 /// Throws NetError when the deadline lapses.
 OwnedFd connect_endpoint(const Endpoint& ep, double deadline_s = 10.0);
 
-/// shutdown(SHUT_RDWR): unblocks a recv parked on the fd from another
-/// thread without closing it (close() would race the fd number against
-/// reuse). No-op on an invalid fd.
-void shutdown_socket(int fd);
-
 /// Bound both recv and send with a per-syscall timeout.
 void set_io_timeout(int fd, double seconds);
 /// Receive timeout only, clamped away from zero (a zero timeval means
@@ -142,8 +137,11 @@ IoResult recv_some(int fd, void* buf, std::size_t cap);
 /// Partial-read loop for exactly `n` bytes. Ok when all arrived; Eof when
 /// the peer closed first (result.n tells how many bytes did arrive, so the
 /// caller can distinguish a clean close at a message boundary, n == 0,
-/// from mid-message truncation); TimedOut / Error as recv_some.
-IoResult recv_exact(int fd, void* buf, std::size_t n);
+/// from mid-message truncation); TimedOut / Error as recv_some. With
+/// `timeout_s` > 0 the whole read must finish within that many seconds:
+/// each recv waits at most the time left, so a peer that trickles bytes
+/// times out like a silent one.
+IoResult recv_exact(int fd, void* buf, std::size_t n, double timeout_s = 0);
 
 /// Short-write loop with MSG_NOSIGNAL (a reset peer yields an error return
 /// here, never SIGPIPE), retrying EINTR. Returns Ok or Error/TimedOut.

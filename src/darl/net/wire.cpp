@@ -1,8 +1,7 @@
 #include "darl/net/wire.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <sstream>
+#include <utility>
 
 #include "darl/net/le_bytes.hpp"
 #include "darl/obs/metrics.hpp"
@@ -10,37 +9,15 @@
 namespace darl::net {
 namespace {
 
-template <typename T>
-T get_value(std::istream& is, const char* what) {
-  T v{};
-  if (!(is >> v)) throw WireError(std::string("net: bad ") + what + " field");
-  return v;
-}
-
-/// Reads an element count of a text message and rejects one that the rest
-/// of the payload cannot hold: every element takes at least `min_bytes`
-/// bytes (one separator and one character per field), so a larger count
-/// is a lie.
-/// Checking before a buffer is sized from the count bounds what a decoder
-/// allocates by a small multiple of the payload, whatever a peer claims.
-std::size_t get_count(std::istringstream& is, const char* what,
-                      std::size_t min_bytes) {
-  const auto n = get_value<std::size_t>(is, what);
-  const auto left = static_cast<std::size_t>(
-      std::max<std::streamsize>(is.rdbuf()->in_avail(), 0));
-  if (n > left / min_bytes) {
-    throw WireError(std::string("net: ") + what + " " + std::to_string(n) +
-                    " exceeds the " + std::to_string(left) +
-                    " bytes left in the payload");
-  }
-  return n;
-}
-
-// The binary messages (Weights, Batch) are fixed-width little-endian
-// fields written through darl/net/le_bytes.hpp.
+// Every message is fixed-width little-endian fields written through
+// darl/net/le_bytes.hpp.
 constexpr std::size_t kU64 = 8;
 constexpr std::size_t kF64 = 8;
+constexpr std::size_t kHelloBytes = 2 * kU64;  // protocol, node
 constexpr std::size_t kWeightsHeaderBytes = 2 * kU64;  // version, length
+/// seed, node, nodes, cores, per_worker, obs_dim, action_dim.
+constexpr std::size_t kJobFieldsBytes = 7 * kU64;
+constexpr std::size_t kByeBytes = kU64;  // node
 /// worker, version, inferences, steps, env_cost_units.
 constexpr std::size_t kBatchHeaderBytes = 4 * kU64 + kF64;
 /// total_reward, score, length.
@@ -69,7 +46,9 @@ class Writer {
     le::put_f64s(at_, v.data(), v.size());
     at_ += v.size() * kF64;
   }
-  void bytes(const std::string& s) {
+  /// A u64 length, then the bytes.
+  void text(const std::string& s) {
+    u64(s.size());
     if (!s.empty()) std::memcpy(at_, s.data(), s.size());
     at_ += s.size();
   }
@@ -127,7 +106,9 @@ class Reader {
     at_ += n * kF64;
     return v;
   }
-  std::string bytes(std::size_t n) {
+  /// A u64 length, checked against the bytes left, then the bytes.
+  std::string text(const char* what) {
+    const std::size_t n = count(what, 1);
     std::string s(reinterpret_cast<const char*>(at_), n);
     at_ += n;
     return s;
@@ -153,14 +134,6 @@ class Reader {
   const char* msg_;
 };
 
-void expect_tag(std::istream& is, const char* tag, const char* msg) {
-  std::string got;
-  if (!(is >> got) || got != tag) {
-    throw WireError(std::string("net: malformed ") + msg + " payload (want '" +
-                    tag + "', got '" + got + "')");
-  }
-}
-
 rl::AlgoKind algo_from_tag(const std::string& tag) {
   if (const auto kind = rl::algo_from_name(tag)) return *kind;
   throw WireError("net: unknown algorithm tag '" + tag + "'");
@@ -181,70 +154,64 @@ const char* msg_type_name(MsgType type) {
 }
 
 std::string encode_hello(const HelloMsg& msg) {
-  std::ostringstream os;
-  os << "hello " << msg.node << ' ' << msg.protocol << '\n';
-  return os.str();
+  std::string out(kHelloBytes, '\0');
+  Writer w(out);
+  w.u64(msg.protocol);
+  w.u64(msg.node);
+  return out;
 }
 
 HelloMsg decode_hello(const std::string& payload) {
-  std::istringstream is(payload);
-  expect_tag(is, "hello", "Hello");
+  Reader r(payload, "Hello");
   HelloMsg msg;
-  msg.node = get_value<std::uint64_t>(is, "Hello node");
-  msg.protocol = get_value<std::uint64_t>(is, "Hello protocol");
+  // The version is read before anything else, so a peer of any other
+  // protocol, the text Hellos of 1 and 2 included, fails right here.
+  msg.protocol = r.u64("protocol");
   if (msg.protocol != kProtocolVersion) {
     throw WireError("net: protocol version mismatch (peer speaks " +
                     std::to_string(msg.protocol) + ", this build speaks " +
                     std::to_string(kProtocolVersion) + ")");
   }
+  msg.node = r.u64("node");
+  r.finish();
   return msg;
 }
 
 std::string encode_job(const JobMsg& msg) {
-  std::ostringstream os;
-  os << "job " << rl::algo_name(msg.algo) << '\n';
-  os << "hidden " << msg.hidden.size();
-  for (const std::size_t h : msg.hidden) os << ' ' << h;
-  os << '\n';
-  os << "seed " << msg.seed << '\n';
-  os << "topology " << msg.node << ' ' << msg.nodes << ' ' << msg.cores << ' '
-     << msg.per_worker << '\n';
-  os << "interface " << msg.obs_dim << ' ' << msg.action_dim << '\n';
-  os << "env " << msg.env_spec.size() << '\n';
-  os << msg.env_spec;
-  return os.str();
+  const std::string algo = rl::algo_name(msg.algo);
+  std::string out(kU64 + algo.size() + kU64 + msg.hidden.size() * kU64 +
+                      kJobFieldsBytes + kU64 + msg.env_spec.size(),
+                  '\0');
+  Writer w(out);
+  w.text(algo);
+  w.u64(msg.hidden.size());
+  for (const std::size_t h : msg.hidden) w.u64(h);
+  w.u64(msg.seed);
+  w.u64(msg.node);
+  w.u64(msg.nodes);
+  w.u64(msg.cores);
+  w.u64(msg.per_worker);
+  w.u64(msg.obs_dim);
+  w.u64(msg.action_dim);
+  w.text(msg.env_spec);
+  return out;
 }
 
 JobMsg decode_job(const std::string& payload) {
-  std::istringstream is(payload);
-  expect_tag(is, "job", "Job");
+  Reader r(payload, "Job");
   JobMsg msg;
-  msg.algo = algo_from_tag(get_value<std::string>(is, "Job algo"));
-  expect_tag(is, "hidden", "Job");
-  const auto n_hidden = get_count(is, "Job hidden count", 2);
-  msg.hidden.resize(n_hidden);
-  for (std::size_t i = 0; i < n_hidden; ++i) {
-    msg.hidden[i] = get_value<std::size_t>(is, "Job hidden size");
-  }
-  expect_tag(is, "seed", "Job");
-  msg.seed = get_value<std::uint64_t>(is, "Job seed");
-  expect_tag(is, "topology", "Job");
-  msg.node = get_value<std::uint64_t>(is, "Job node");
-  msg.nodes = get_value<std::uint64_t>(is, "Job nodes");
-  msg.cores = get_value<std::uint64_t>(is, "Job cores");
-  msg.per_worker = get_value<std::uint64_t>(is, "Job per_worker");
-  expect_tag(is, "interface", "Job");
-  msg.obs_dim = get_value<std::uint64_t>(is, "Job obs_dim");
-  msg.action_dim = get_value<std::uint64_t>(is, "Job action_dim");
-  expect_tag(is, "env", "Job");
-  const auto env_bytes = get_count(is, "Job env length", 1);
-  is.get();  // the '\n' terminating the env length line
-  std::string spec(env_bytes, '\0');
-  is.read(spec.data(), static_cast<std::streamsize>(env_bytes));
-  if (static_cast<std::size_t>(is.gcount()) != env_bytes) {
-    throw WireError("net: truncated Job env spec");
-  }
-  msg.env_spec = std::move(spec);
+  msg.algo = algo_from_tag(r.text("algorithm length"));
+  msg.hidden.resize(r.count("hidden count", kU64));
+  for (std::size_t& h : msg.hidden) h = r.u64("hidden size");
+  msg.seed = r.u64("seed");
+  msg.node = r.u64("node");
+  msg.nodes = r.u64("nodes");
+  msg.cores = r.u64("cores");
+  msg.per_worker = r.u64("per_worker");
+  msg.obs_dim = r.u64("obs_dim");
+  msg.action_dim = r.u64("action_dim");
+  msg.env_spec = r.text("env length");
+  r.finish();
   return msg;
 }
 
@@ -252,8 +219,7 @@ std::string encode_weights(const WeightsMsg& msg) {
   std::string out(kWeightsHeaderBytes + msg.checkpoint.size(), '\0');
   Writer w(out);
   w.u64(msg.version);
-  w.u64(msg.checkpoint.size());
-  w.bytes(msg.checkpoint);
+  w.text(msg.checkpoint);
   return out;
 }
 
@@ -261,7 +227,7 @@ WeightsMsg decode_weights(const std::string& payload) {
   Reader r(payload, "Weights");
   WeightsMsg msg;
   msg.version = r.u64("version");
-  msg.checkpoint = r.bytes(r.count("checkpoint length", 1));
+  msg.checkpoint = r.text("checkpoint length");
   r.finish();
   return msg;
 }
@@ -328,17 +294,23 @@ BatchMsg decode_batch_msg(const std::string& payload) {
 }
 
 std::string encode_bye(const ByeMsg& msg) {
-  std::ostringstream os;
-  os << "bye " << msg.node << '\n';
-  return os.str();
+  std::string out(kByeBytes, '\0');
+  Writer w(out);
+  w.u64(msg.node);
+  return out;
 }
 
 ByeMsg decode_bye(const std::string& payload) {
-  std::istringstream is(payload);
-  expect_tag(is, "bye", "Bye");
+  Reader r(payload, "Bye");
   ByeMsg msg;
-  msg.node = get_value<std::uint64_t>(is, "Bye node");
+  msg.node = r.u64("node");
+  r.finish();
   return msg;
+}
+
+MsgChannel::MsgChannel(OwnedFd fd, double io_timeout_s)
+    : fd_(std::move(fd)), io_timeout_s_(io_timeout_s) {
+  if (io_timeout_s_ > 0.0) set_io_timeout(fd_.get(), io_timeout_s_);
 }
 
 void MsgChannel::send(MsgType type, const std::string& payload) {
@@ -349,7 +321,7 @@ void MsgChannel::send(MsgType type, const std::string& payload) {
 
 bool MsgChannel::recv(MsgType& type, std::string& payload) {
   Frame frame;
-  if (!read_frame(fd_.get(), frame)) return false;
+  if (!read_frame(fd_.get(), frame, io_timeout_s_)) return false;
   type = static_cast<MsgType>(frame.type);
   payload = std::move(frame.payload);
   DARL_COUNTER_ADD("net.frames_received", 1);

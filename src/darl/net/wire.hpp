@@ -1,35 +1,40 @@
 // darl/net/wire.hpp
 //
 // The actor–learner message schema and its codec (DESIGN.md §17), wire
-// protocol v2. Each message rides one frame (darl/net/frame.hpp), whose
+// protocol v3. Each message rides one frame (darl/net/frame.hpp), whose
 // fnv1a64 digest guards the payload bytes.
 //
-// The per-iteration messages are binary, fixed-width little-endian fields
-// (darl/net/le_bytes.hpp):
+// Every message is binary, fixed-width little-endian fields
+// (darl/net/le_bytes.hpp); a "string" is a u64 length and that many bytes:
 //
-//   Weights  u64 version, u64 length, then `length` bytes of checkpoint-v2
-//            text. The checkpoint is darl's one parameter codec: it carries
-//            kind, dims and its own digest, and it is the on-disk format.
+//   Hello    u64 protocol, u64 node. The protocol is read first, so a
+//            peer of another version fails there with a typed error.
+//   Job      the algorithm name as a string; u64 hidden count, then one
+//            u64 per hidden size; u64 seed, node, nodes, cores,
+//            per_worker, obs_dim, action_dim; the env spec as a string.
+//   Weights  u64 version, then the checkpoint-v2 text as a string. The
+//            checkpoint is darl's one parameter codec: it carries kind,
+//            dims and its own digest, and it is the on-disk format.
 //   Batch    u64 worker, version, inferences, steps; f64 env_cost_units;
 //            u64 episode count, then (f64 total_reward, f64 score,
 //            u64 length) per episode; u64 transition count, then per
 //            transition f64 reward, f64 log_prob, one flag byte each for
 //            terminated and truncated (0 or 1), and obs, action and
 //            next_obs, each a u64 length and that many raw doubles.
+//   Bye      u64 node.
+//   Stop     empty.
 //
 // A double crosses as its IEEE-754 bits, so a value decoded on the far
 // side is *bitwise* the value encoded (NaN payloads and -0.0 included),
 // which keeps the distributed runtime's campaign CSVs byte-identical to
-// the in-process path. Every count is checked against the bytes left in
-// the payload before anything is sized from it, and a short payload, a
-// flag byte other than 0 or 1, or trailing bytes are a WireError.
-//
-// Hello, Job and Bye are short text lines, and Stop is empty. A peer of
-// another protocol version fails at the version check in Hello.
+// the in-process path. Every count and length is checked against the
+// bytes left in the payload before anything is sized from it, and a short
+// payload, a flag byte other than 0 or 1, or trailing bytes are a
+// WireError.
 //
 // Protocol (learner-driven, synchronous per iteration):
 //
-//   actor -> learner   Hello{node, protocol}            (once, on connect)
+//   actor -> learner   Hello{protocol, node}            (once, on connect)
 //   learner -> actor   Job{algo, seed, topology, env}   (once)
 //   learner -> actor   Weights{version, checkpoint}     (per iteration)
 //   actor -> learner   Batch{worker, version, cost,     (one per worker
@@ -70,7 +75,7 @@ class WireError : public NetError {
   explicit WireError(const std::string& what_arg) : NetError(what_arg) {}
 };
 
-inline constexpr std::uint64_t kProtocolVersion = 2;
+inline constexpr std::uint64_t kProtocolVersion = 3;
 
 /// Actor's opening handshake.
 struct HelloMsg {
@@ -131,13 +136,15 @@ std::string encode_bye(const ByeMsg& msg);
 ByeMsg decode_bye(const std::string& payload);
 
 /// One connected peer: frame I/O plus net.* transport metrics
-/// (net.frames_sent/received, net.bytes_sent/received). Reading and
-/// writing may happen on two different threads concurrently (the runtime
-/// pairs one reader with one writer per channel); neither side locks.
+/// (net.frames_sent/received, net.bytes_sent/received). One thread drives
+/// a channel; nothing in it locks.
 class MsgChannel {
  public:
   MsgChannel() = default;
-  explicit MsgChannel(OwnedFd fd) : fd_(std::move(fd)) {}
+  /// Takes over `fd`. With `io_timeout_s` > 0, each send syscall and each
+  /// whole received frame must finish within that many seconds (a
+  /// FrameError TimedOut otherwise); 0 leaves the fd's own timeouts.
+  explicit MsgChannel(OwnedFd fd, double io_timeout_s = 0);
 
   int fd() const { return fd_.get(); }
   bool valid() const { return fd_.valid(); }
@@ -155,6 +162,7 @@ class MsgChannel {
 
  private:
   OwnedFd fd_;
+  double io_timeout_s_ = 0;
 };
 
 }  // namespace darl::net

@@ -351,6 +351,17 @@ TEST(Fuzz, DecodeHello) {
   });
 }
 
+/// The offsets of a Job payload's algorithm-name length, hidden count and
+/// env length.
+Seed job_seed(const net::JobMsg& job) {
+  const std::size_t hidden_at =
+      8 + std::char_traits<char>::length(rl::algo_name(job.algo));
+  // The hidden sizes, then seed, node, nodes, cores, per_worker, obs_dim
+  // and action_dim.
+  const std::size_t env_at = hidden_at + 8 + 8 * job.hidden.size() + 7 * 8;
+  return {net::encode_job(job), {0, hidden_at, env_at}};
+}
+
 TEST(Fuzz, DecodeJob) {
   net::JobMsg job;
   job.algo = rl::AlgoKind::IMPALA;
@@ -365,8 +376,7 @@ TEST(Fuzz, DecodeJob) {
   job.env_spec = "airdrop-v1\nrk 5\nwind 0.25\n";
   net::JobMsg bare;
   bare.env_spec = "x";
-  const std::vector<Seed> corpus = {{net::encode_job(job), {}},
-                                    {net::encode_job(bare), {}}};
+  const std::vector<Seed> corpus = {job_seed(job), job_seed(bare)};
   fuzz<net::WireError>("decode_job", 104, corpus, [](const std::string& p) {
     (void)net::decode_job(p);
   });

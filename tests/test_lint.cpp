@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "darl/common/kernel.hpp"
@@ -31,10 +34,19 @@ bool has_rule(const std::vector<lint::Finding>& findings,
   return std::find(rules.begin(), rules.end(), rule) != rules.end();
 }
 
+/// Whether `rule` has a row in the table darl_lint --list-rules prints.
+bool listed(const std::string& rule) {
+  return std::any_of(std::begin(lint::kRules), std::end(lint::kRules),
+                     [&](const lint::Rule& r) { return rule == r.id; });
+}
+
 /// Scan a .cpp fixture (path chosen so no path-scoped rule kicks in).
+/// Whatever it raises must be a rule of the table.
 std::vector<lint::Finding> scan(const std::string& code,
                                 const std::string& path = "src/darl/x.cpp") {
-  return lint::scan_source(path, code);
+  std::vector<lint::Finding> findings = lint::scan_source(path, code);
+  for (const auto& f : findings) EXPECT_TRUE(listed(f.rule)) << f.rule;
+  return findings;
 }
 
 }  // namespace
@@ -641,4 +653,47 @@ int r = std::rand();
       [](const lint::Finding& a, const lint::Finding& b) {
         return a.line < b.line;
       }));
+}
+
+// ---------------------------------------------------------------------------
+// The rule table --list-rules prints
+
+TEST(LintRules, TheTableNamesEveryRuleTheFixturesRaise) {
+  // One violating fixture per rule, each at a path where its rule applies.
+  const std::string bad_metric =
+      std::string("DARL_COUNTER") + "_ADD(\"Bad Name\", 1);";
+  const std::vector<std::pair<std::string, std::string>> fixtures = {
+      {"src/darl/x.cpp", "int x = std::rand();"},
+      {"src/darl/x.cpp", "auto t = std::chrono::steady_clock::now();"},
+      {"src/darl/x.cpp",
+       "std::unordered_map<int, double> m_;\n"
+       "void f() { for (const auto& kv : m_) g(kv); }"},
+      {"src/darl/x.cpp", "int* p = new int;"},
+      {"src/darl/nn/mlp.cpp", "auto lr = 1e-3f;"},
+      {"src/darl/x.cpp", "out << x << std::endl;"},
+      {"src/darl/x.hpp", "int answer();\n"},
+      {"src/darl/x.cpp",
+       "void f() {\n  try { g(); } catch (...) {\n    n += 1;\n  }\n}"},
+      {"src/darl/x.cpp", "std::thread t(work); t.detach();"},
+      {"src/darl/linalg/matrix.cpp", "std::thread t(work); t.join();"},
+      {"src/darl/x.cpp",
+       "DARL_KERNEL void Mlp::forward_batch() {\n  ws_.resize(3);\n}"},
+      {"src/darl/x.cpp", bad_metric},
+      {"src/darl/x.cpp",
+       "DARL_KERNEL void S::execute_batch() {\n"
+       "  obs::Registry::global().counter(kServed).add(1);\n}"},
+      {"src/darl/obs/export.cpp", "const ssize_t n = ::recv(fd, b, n, 0);"},
+      {"src/darl/x.cpp", "const double y = std::tanh(x);"},
+  };
+  std::set<std::string> raised;
+  for (const auto& [path, code] : fixtures) {
+    for (const lint::Finding& f : lint::scan_source(path, code)) {
+      raised.insert(f.rule);
+    }
+  }
+  for (const std::string& rule : raised) {
+    EXPECT_TRUE(listed(rule)) << rule << " is missing from lint::kRules";
+  }
+  // Every row is raised too, so the table lists no rule the engine lacks.
+  EXPECT_EQ(raised.size(), std::size(lint::kRules));
 }

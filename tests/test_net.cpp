@@ -1,21 +1,25 @@
 // tests/test_net.cpp — the socket transport and the multi-process
 // actor–learner runtime: endpoint parsing, frame integrity over a real
 // socketpair (round-trips, truncation, digest mismatch, fragmentation,
-// connection reset mid-message), the wire codec for every message type,
-// the bounded queue, the learner's checks on what actors send, and the
-// acceptance bar —
-// a loopback 2-actor training run whose TrainResult matches the
-// in-process backend bit for bit (DESIGN.md §17).
+// connection reset mid-message, the whole-frame deadline), the wire codec
+// for every message type, the learner's checks on what actors send, its
+// bounded failure detection (stalled, trickling, closed and killed
+// actors), and the acceptance bar — a loopback 2-actor training run whose
+// TrainResult matches the in-process backend bit for bit (DESIGN.md §17).
 
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -33,9 +37,9 @@
 #include "darl/frameworks/backend.hpp"
 #include "darl/frameworks/distributed.hpp"
 #include "darl/net/frame.hpp"
-#include "darl/net/queue.hpp"
 #include "darl/net/socket.hpp"
 #include "darl/net/wire.hpp"
+#include "darl/obs/metrics.hpp"
 #include "darl/rl/checkpoint.hpp"
 #include "darl/rl/factory.hpp"
 
@@ -147,6 +151,35 @@ TEST(NetFrame, OneBytePerSendStillDecodes) {
   sender.join();
   EXPECT_EQ(frame.type, 7u);
   EXPECT_EQ(frame.payload, payload);
+}
+
+TEST(NetFrame, DeadlineBoundsTheWholeFrame) {
+  // A peer that sends a byte every 100 ms never leaves one recv waiting
+  // long; the frame's deadline must still end the read after 0.3 s.
+  FdPair p;
+  const std::string payload(40, 'd');
+  unsigned char header[net::kFrameHeaderBytes];
+  net::encode_frame_header(7, payload, header);
+  std::string wire(reinterpret_cast<const char*>(header), sizeof(header));
+  wire += payload;
+
+  std::thread sender([&] {
+    for (const char c : wire) {
+      if (net::send_all(p.a.get(), &c, 1).status != net::IoStatus::Ok) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+  const Stopwatch clock;
+  net::Frame frame;
+  try {
+    net::read_frame(p.b.get(), frame, /*timeout_s=*/0.3);
+    ADD_FAILURE() << "read a frame that takes 6.4 s to arrive";
+  } catch (const net::FrameError& e) {
+    EXPECT_EQ(e.kind(), net::FrameError::Kind::TimedOut);
+  }
+  EXPECT_LT(clock.seconds(), 1.0);
+  p.b.reset();  // the sender's next byte fails, which ends it
+  sender.join();
 }
 
 TEST(NetFrame, TruncatedPayloadIsTypedError) {
@@ -310,9 +343,11 @@ TEST(NetWire, HelloJobByeRoundTrip) {
   EXPECT_EQ(job2.obs_dim, 7u);
   EXPECT_EQ(job2.action_dim, 2u);
   EXPECT_EQ(job2.env_spec, job.env_spec);
-  // A job for an algorithm this build does not know is refused.
+  // A job for an algorithm this build does not know is refused: the same
+  // job with the name after the algorithm's u64 length swapped.
   std::string unknown = net::encode_job(job);
-  unknown.replace(unknown.find("SAC"), 3, "DQN");
+  ASSERT_EQ(unknown.substr(8, 3), "SAC");
+  unknown.replace(8, 3, "DQN");
   EXPECT_THROW(net::decode_job(unknown), net::WireError);
 
   net::ByeMsg bye;
@@ -398,7 +433,7 @@ TEST(NetWire, BatchRoundTripBitwise) {
   }
 }
 
-/// Builds a binary payload field by field in the v2 wire's layout:
+/// Builds a binary payload field by field in the wire's layout:
 /// little-endian u64s and doubles as their IEEE-754 bits, spelled out
 /// byte by byte here so the tests check the byte order independently of
 /// the codec.
@@ -447,17 +482,32 @@ constexpr std::uint64_t kTrillion = 1000000000000ull;
 // fail as std::bad_alloc, and a smaller lie would be a large allocation.
 // One test per decoded count, so a failure names the count that slipped.
 TEST(NetWire, JobHiddenCountIsBoundedByThePayload) {
-  const std::string p = "job PPO\nhidden 1000000000000 64 64\n";
+  const std::string p =
+      Payload().u64(3).text("PPO").u64(kTrillion).u64(64).u64(64).bytes;
   EXPECT_LT(p.size(), 64u);
-  EXPECT_THROW(net::decode_job(p), net::WireError);
+  expect_wire_error(net::decode_job, p, "hidden count");
 }
 
 TEST(NetWire, JobEnvLengthIsBoundedByThePayload) {
-  const std::string p =
-      "job PPO\nhidden 0\nseed 0\ntopology 0 2 1 8\ninterface 4 1\n"
-      "env 1000000000000\nx";
-  EXPECT_LT(p.size(), 80u);  // the fields before `env` alone take 59 bytes
-  EXPECT_THROW(net::decode_job(p), net::WireError);
+  // The algorithm, an empty hidden list, the seven fixed fields (seed,
+  // node, nodes, cores, per_worker, obs_dim, action_dim), the lying env
+  // length and one spec byte.
+  const std::string p = Payload()
+                            .u64(3)
+                            .text("PPO")
+                            .u64(0)
+                            .u64(0)
+                            .u64(0)
+                            .u64(2)
+                            .u64(1)
+                            .u64(8)
+                            .u64(4)
+                            .u64(1)
+                            .u64(kTrillion)
+                            .text("x")
+                            .bytes;
+  EXPECT_EQ(p.size(), 84u);
+  expect_wire_error(net::decode_job, p, "env length");
 }
 
 TEST(NetWire, WeightsLengthIsBoundedByThePayload) {
@@ -556,6 +606,21 @@ net::BatchMsg honest_batch() {
   return b;
 }
 
+net::JobMsg honest_job() {
+  net::JobMsg job;
+  job.algo = rl::AlgoKind::IMPALA;
+  job.hidden = {16, 8};
+  job.seed = 77;
+  job.node = 1;
+  job.nodes = 2;
+  job.cores = 2;
+  job.per_worker = 64;
+  job.obs_dim = 4;
+  job.action_dim = 1;
+  job.env_spec = "spec";
+  return job;
+}
+
 net::WeightsMsg honest_weights() {
   rl::Checkpoint ck;
   ck.kind = rl::AlgoKind::PPO;
@@ -570,31 +635,49 @@ net::WeightsMsg honest_weights() {
   return w;
 }
 
+/// Every message's honest payload, with its decoder, by name.
+struct Encoded {
+  const char* name;
+  std::string payload;
+  std::function<void(const std::string&)> decode;
+};
+
+std::vector<Encoded> every_message() {
+  net::HelloMsg hello;
+  hello.node = 1;
+  net::ByeMsg bye;
+  bye.node = 1;
+  return {{"Hello", net::encode_hello(hello),
+           [](const std::string& p) { (void)net::decode_hello(p); }},
+          {"Job", net::encode_job(honest_job()),
+           [](const std::string& p) { (void)net::decode_job(p); }},
+          {"Weights", net::encode_weights(honest_weights()),
+           [](const std::string& p) { (void)net::decode_weights(p); }},
+          {"Batch", net::encode_batch_msg(honest_batch()),
+           [](const std::string& p) { (void)net::decode_batch_msg(p); }},
+          {"Bye", net::encode_bye(bye),
+           [](const std::string& p) { (void)net::decode_bye(p); }}};
+}
+
 // A binary payload has no terminator to catch a cut: each field's read is
 // checked against the bytes left, so every strict prefix is a WireError,
 // never a read past the end or a silently short message.
 TEST(NetWire, EveryStrictPrefixOfABinaryPayloadIsRejected) {
-  const std::string batch = net::encode_batch_msg(honest_batch());
-  const std::string weights = net::encode_weights(honest_weights());
-  for (std::size_t n = 0; n < batch.size(); ++n) {
-    EXPECT_THROW(net::decode_batch_msg(batch.substr(0, n)), net::WireError)
-        << "Batch prefix of " << n << " of " << batch.size() << " bytes";
+  for (const Encoded& m : every_message()) {
+    for (std::size_t n = 0; n < m.payload.size(); ++n) {
+      EXPECT_THROW(m.decode(m.payload.substr(0, n)), net::WireError)
+          << m.name << " prefix of " << n << " of " << m.payload.size()
+          << " bytes";
+    }
+    EXPECT_NO_THROW(m.decode(m.payload)) << m.name;
   }
-  for (std::size_t n = 0; n < weights.size(); ++n) {
-    EXPECT_THROW(net::decode_weights(weights.substr(0, n)), net::WireError)
-        << "Weights prefix of " << n << " of " << weights.size() << " bytes";
-  }
-  EXPECT_NO_THROW(net::decode_batch_msg(batch));
-  EXPECT_NO_THROW(net::decode_weights(weights));
 }
 
 TEST(NetWire, TrailingByteIsRejected) {
-  expect_wire_error(net::decode_batch_msg,
-                    net::encode_batch_msg(honest_batch()) + '\0',
-                    "trailing bytes");
-  expect_wire_error(net::decode_weights,
-                    net::encode_weights(honest_weights()) + '\0',
-                    "trailing bytes");
+  for (const Encoded& m : every_message()) {
+    SCOPED_TRACE(m.name);
+    expect_wire_error(m.decode, m.payload + '\0', "trailing bytes");
+  }
 }
 
 TEST(NetWire, FlagByteOtherThanZeroOrOneIsRejected) {
@@ -656,12 +739,14 @@ TEST(NetWire, BatchCarriesNonFiniteValuesBitwise) {
   EXPECT_EQ(bits(t2.log_prob), bits(t.log_prob));
 }
 
-// A darl_worker built before protocol 2 opens with exactly this Hello.
-// It must be refused at the handshake with the typed mismatch, not get as
-// far as a Batch the learner cannot read.
+// A darl_worker of protocol 1 or 2 opens with exactly one of these text
+// Hellos. It must be refused at the handshake with the typed mismatch,
+// not get as far as a Job or Batch the peer cannot read.
 TEST(NetWire, V1HelloIsRefused) {
-  ASSERT_EQ(net::kProtocolVersion, 2u);
+  ASSERT_EQ(net::kProtocolVersion, 3u);
   expect_wire_error(net::decode_hello, "hello 1 1\n",
+                    "protocol version mismatch");
+  expect_wire_error(net::decode_hello, "hello 1 2\n",
                     "protocol version mismatch");
 }
 
@@ -698,39 +783,6 @@ TEST(NetWire, EveryMessageTypeOverASocketpair) {
   // expect() on a mismatched type is a WireError.
   tx.send(net::MsgType::Hello, net::encode_hello(hello));
   EXPECT_THROW(rx.expect(net::MsgType::Batch), net::WireError);
-}
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-
-TEST(NetQueue, BackpressureAndClose) {
-  net::BoundedQueue<int> q(2);
-  EXPECT_EQ(q.push(1), net::QueueOutcome::Ok);
-  EXPECT_EQ(q.push(2), net::QueueOutcome::Ok);
-  EXPECT_EQ(q.push(3, /*timeout_s=*/0.05), net::QueueOutcome::TimedOut);
-
-  int v = 0;
-  EXPECT_EQ(q.pop(v), net::QueueOutcome::Ok);
-  EXPECT_EQ(v, 1);
-  EXPECT_EQ(q.push(3), net::QueueOutcome::Ok);  // room again
-
-  q.close();
-  EXPECT_EQ(q.push(4), net::QueueOutcome::Closed);
-  // Items queued before close still drain, in order.
-  EXPECT_EQ(q.pop(v), net::QueueOutcome::Ok);
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(q.pop(v), net::QueueOutcome::Ok);
-  EXPECT_EQ(v, 3);
-  EXPECT_EQ(q.pop(v), net::QueueOutcome::Closed);
-}
-
-TEST(NetQueue, BlockedPopWakesOnPush) {
-  net::BoundedQueue<int> q(1);
-  std::thread producer([&] { q.push(42); });
-  int v = 0;
-  EXPECT_EQ(q.pop(v), net::QueueOutcome::Ok);
-  EXPECT_EQ(v, 42);
-  producer.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -873,7 +925,24 @@ enum class ActorPlay {
   WrongVersion,     // the same Batches, tagged with a version never shipped
   CloseAfterHello,  // Hello, then close the connection
   Stall,            // take Job and the first Weights, then send nothing
+  Drip,             // the first worker's Batch frame, one byte per 250 ms
 };
+
+/// Sends `msg`'s 80-byte Batch frame one byte at a time, 250 ms apart (20 s
+/// in all), and stops early once the learner hangs up.
+void drip_batch(int fd, const net::BatchMsg& msg) {
+  const std::string payload = net::encode_batch_msg(msg);
+  unsigned char header[net::kFrameHeaderBytes];
+  net::encode_frame_header(static_cast<std::uint32_t>(net::MsgType::Batch),
+                           payload, header);
+  std::string frame(reinterpret_cast<const char*>(header), sizeof(header));
+  frame += payload;
+  EXPECT_EQ(frame.size(), 80u);
+  for (const char c : frame) {
+    if (net::send_all(fd, &c, 1).status != net::IoStatus::Ok) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  }
+}
 
 /// Plays actor node 1 of a 2x2 run by hand over raw net helpers: Hello,
 /// then (unless it closes right away) Job and the first Weights and what
@@ -882,10 +951,8 @@ enum class ActorPlay {
 void fake_actor(const std::string& endpoint, ActorPlay play,
                 const std::vector<std::uint64_t>& workers) {
   try {
-    net::OwnedFd fd =
-        net::connect_endpoint(net::Endpoint::parse(endpoint), 10.0);
-    net::set_io_timeout(fd.get(), 10.0);
-    net::MsgChannel ch(std::move(fd));
+    net::MsgChannel ch(
+        net::connect_endpoint(net::Endpoint::parse(endpoint), 10.0), 10.0);
     net::HelloMsg hello;
     hello.node = 1;
     ch.send(net::MsgType::Hello, net::encode_hello(hello));
@@ -893,6 +960,13 @@ void fake_actor(const std::string& endpoint, ActorPlay play,
     (void)net::decode_job(ch.expect(net::MsgType::Job));
     const net::WeightsMsg weights =
         net::decode_weights(ch.expect(net::MsgType::Weights));
+    if (play == ActorPlay::Drip) {
+      net::BatchMsg msg;
+      msg.worker = workers.at(0);
+      msg.version = weights.version;
+      drip_batch(ch.fd(), msg);
+      return;
+    }
     if (play != ActorPlay::Stall) {
       for (const std::uint64_t worker : workers) {
         net::BatchMsg msg;
@@ -973,9 +1047,78 @@ TEST(NetDistributed, ActorClosingAfterHelloFailsTheRun) {
 }
 
 TEST(NetDistributed, ActorStallingPastIoTimeoutFailsTheRun) {
-  // The learner's wait for a batch and its reader's socket read share the
-  // timeout; either may report it first.
-  expect_actor_fails_run("stall", ActorPlay::Stall, {}, "timed out", 1.0);
+  expect_actor_fails_run("stall", ActorPlay::Stall, {}, "frame read timed out",
+                         1.0);
+}
+
+TEST(NetDistributed, ActorDrippingABatchPastIoTimeoutFailsTheRun) {
+  // No single recv waits long, but io_timeout_s bounds the read of the
+  // whole frame, so the learner gives up long before the 20 s drip ends.
+  expect_actor_fails_run("drip", ActorPlay::Drip, {2}, "timed out", 1.0);
+}
+
+/// This process's children: every thread's, read from /proc.
+std::vector<pid_t> child_pids() {
+  std::vector<pid_t> pids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream in(task.path() / "children");
+    for (pid_t pid = 0; in >> pid;) pids.push_back(pid);
+  }
+  return pids;
+}
+
+// A real actor process, spawned as darl_study spawns it, SIGKILLed once
+// the learner has shipped the first Weights: the learner must see the
+// link die and fail the run, and ChildReaper must reap the dead child.
+TEST(NetDistributed, ActorProcessKilledMidIterationFailsTheRun) {
+  frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/2);
+  // Far more iterations than the run gets through before the kill.
+  req.total_timesteps = 200 * req.train_batch_total;
+  frameworks::DistributedOptions opts;
+  opts.enabled = true;
+  opts.endpoint = "unix:" + unique_sock_path("sigkill");
+  opts.worker_bin = DARL_WORKER_BIN;  // spawn_actors: one child, node 1
+  opts.connect_timeout_s = 30.0;
+  opts.io_timeout_s = 1.0;
+  const Footprint before;
+
+  obs::set_metrics_enabled(true);
+  const obs::Counter& published =
+      obs::Registry::global().counter("net.weights_published");
+  const std::uint64_t published_before = published.value();
+  const Stopwatch clock;
+  std::atomic<bool> run_over{false};
+  double killed_at = -1.0;
+  std::thread killer([&] {
+    while (!run_over.load() && published.value() == published_before) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (run_over.load()) return;
+    const std::vector<pid_t> children = child_pids();
+    ASSERT_EQ(children.size(), 1u);
+    killed_at = clock.seconds();
+    ASSERT_EQ(::kill(children[0], SIGKILL), 0);
+  });
+
+  double failed_at = -1.0;
+  frameworks::DistributedRllibBackend backend(opts);
+  try {
+    backend.run(req);
+    ADD_FAILURE() << "learner finished a run whose actor was killed";
+  } catch (const net::NetError&) {
+    failed_at = clock.seconds();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected a NetError, got: " << e.what();
+  }
+  run_over.store(true);
+  killer.join();
+  obs::set_metrics_enabled(false);
+
+  ASSERT_GE(killed_at, 0.0) << "the run ended before the actor was killed";
+  EXPECT_GT(failed_at, killed_at) << "the run failed before the kill";
+  EXPECT_LT(failed_at - killed_at, opts.io_timeout_s + 2.0);
+  before.expect_unchanged();
 }
 
 TEST(NetDistributed, BatchWithUnshippedVersionIsRejected) {

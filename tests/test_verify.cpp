@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +72,75 @@ std::vector<lint::Finding> analyze_one(const std::string& code,
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// The rule table --list-rules prints
+
+TEST(VerifyRules, TheTableNamesEveryRuleTheFixturesRaise) {
+  // One violating fixture per rule, analyzed together, each with its own
+  // mutexes.
+  const auto findings = analyze({{"src/darl/rl/guarded.cpp", R"fx(
+#include <mutex>
+class Q {
+ public:
+  int peek() { return x_; }
+ private:
+  std::mutex q_mu_;
+  int x_ DARL_GUARDED_BY(q_mu_) = 0;
+};
+)fx"},
+                                 {"src/darl/rl/order.cpp", R"fx(
+#include <mutex>
+std::mutex a_mu;
+std::mutex b_mu;
+void f() {
+  std::lock_guard<std::mutex> g(a_mu);
+  std::lock_guard<std::mutex> h(b_mu);
+}
+void g() {
+  std::lock_guard<std::mutex> g(b_mu);
+  std::lock_guard<std::mutex> h(a_mu);
+}
+)fx"},
+                                 {"src/darl/rl/blocking.cpp", R"fx(
+#include <chrono>
+#include <mutex>
+#include <thread>
+std::mutex sleep_mu;
+void f() {
+  std::lock_guard<std::mutex> g(sleep_mu);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+)fx"},
+                                 {"src/darl/rl/cv.cpp", R"fx(
+#include <condition_variable>
+#include <mutex>
+std::mutex cv_mu;
+std::condition_variable cv;
+void f() {
+  std::unique_lock<std::mutex> lk(cv_mu);
+  cv.wait(lk);
+}
+)fx"},
+                                 {"src/darl/serve/s.cpp", R"fx(
+#include <atomic>
+class S {
+ public:
+  int peek() const { return v_.load(); }
+ private:
+  std::atomic<int> v_{0};
+};
+)fx"}});
+  std::set<std::string> raised;
+  for (const lint::Finding& f : findings) raised.insert(f.rule);
+  for (const std::string& rule : raised) {
+    EXPECT_TRUE(std::any_of(std::begin(verify::kRules), std::end(verify::kRules),
+                            [&](const verify::Rule& r) { return rule == r.id; }))
+        << rule << " is missing from verify::kRules";
+  }
+  // Every row is raised too, so the table lists no rule the engine lacks.
+  EXPECT_EQ(raised.size(), std::size(verify::kRules));
+}
 
 // ---------------------------------------------------------------------------
 // Harvest pass

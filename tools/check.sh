@@ -58,7 +58,9 @@
 #                    byte-identically (its tell schedule is fixed per
 #                    width); a second campaign whose random draw includes
 #                    RLlib nodes=2 trials then reruns with --distributed,
-#                    and the multi-process CSV must match the in-process one
+#                    serially and at --parallel 2 (two lanes running their
+#                    listeners and actor children at once), and each
+#                    multi-process CSV must match the in-process one
 #                    byte for byte with nonzero NetStaleness on the engaged
 #                    trials; finally Table I is retrained from scratch
 #                    (--parallel 4) and must reproduce the committed
@@ -332,7 +334,7 @@ kill "$DIST_PID" 2>/dev/null || true
 wait "$DIST_PID" 2>/dev/null || true
 echo "distributed smoke ok: port $dist_port, staleness $staleness, both actors served and exited 0"
 
-stage "determinism audit (serial x2, --parallel 4, TPE, --distributed, telemetry on, Table I retrain plain and libm-masked)"
+stage "determinism audit (serial x2, --parallel 4, TPE, --distributed serial and --parallel 2, telemetry on, Table I retrain plain and libm-masked)"
 audit_run() {
   local out="$1"
   shift
@@ -361,6 +363,11 @@ audit_run "$AUDIT_DIR/dist_inproc.csv" --seed 1
 audit_run "$AUDIT_DIR/dist_mp.csv" --seed 1 --distributed
 cmp "$AUDIT_DIR/dist_inproc.csv" "$AUDIT_DIR/dist_mp.csv" \
   || { echo "determinism audit FAILED: --distributed run differs from in-process"; exit 1; }
+# Two lanes at once: each multi-node trial brings up its own listener and
+# actor children beside the other lane's, in one darl_study process.
+audit_run "$AUDIT_DIR/dist_mp_par.csv" --seed 1 --distributed --parallel 2
+cmp "$AUDIT_DIR/dist_inproc.csv" "$AUDIT_DIR/dist_mp_par.csv" \
+  || { echo "determinism audit FAILED: --distributed --parallel 2 run differs from in-process"; exit 1; }
 grep -q 'framework=RLlib, nodes=[^1]' "$AUDIT_DIR/dist_mp.csv" \
   || { echo "determinism audit FAILED: no multi-node RLlib trial engaged the distributed path"; exit 1; }
 grep 'framework=RLlib, nodes=[^1]' "$AUDIT_DIR/dist_mp.csv" \
@@ -380,7 +387,7 @@ GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA \
   ./build/tools/darl_study --parallel 4 --cache "$AUDIT_DIR/table1_masked.csv" > /dev/null
 cmp "$AUDIT_DIR/table1_masked.csv" darl_table1_cache.csv \
   || { echo "determinism audit FAILED: Table I retrained with glibc's AVX2/FMA variants masked differs from darl_table1_cache.csv"; exit 1; }
-echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. --parallel 4, TPE --parallel 3 and the multi-process --distributed leg); retrained Table I matches darl_table1_cache.csv, with and without glibc's AVX2/FMA variants"
+echo "determinism audit ok: $(wc -l < "$AUDIT_DIR/serial_a.csv") CSV lines byte-identical across runs (incl. --parallel 4, TPE --parallel 3 and the multi-process --distributed legs, serial and --parallel 2); retrained Table I matches darl_table1_cache.csv, with and without glibc's AVX2/FMA variants"
 
 stage_end
 echo "=== stage timing ==="

@@ -40,24 +40,10 @@ constexpr const char* kDefaultDirs[] = {"src", "tools", "bench", "tests",
                                         "examples"};
 
 void print_rules() {
-  std::printf(
-      "darl_lint rules:\n"
-      "  banned-random    std::rand / srand / std::random_device\n"
-      "  wall-clock       argless now() / system_clock outside "
-      "stopwatch/obs/log\n"
-      "  unordered-iter   iteration over unordered_map/unordered_set\n"
-      "  raw-new-delete   raw new / delete expressions\n"
-      "  float-literal    float literals in ode/ linalg/ rl/ nn/\n"
-      "  std-endl         std::endl\n"
-      "  pragma-once      .hpp without #pragma once\n"
-      "  catch-all        catch (...) without rethrow or recording\n"
-      "  detached-thread  std::thread::detach()\n"
-      "  heap-alloc-in-kernel  new / .resize( / .push_back( inside a "
-      "*_batch or gemm body\n"
-      "  metric-name      instrument/label-key names outside [a-z0-9_.]+ "
-      "(scans raw source)\n"
-      "  metric-lookup-in-kernel  registry lookup inside a *_batch / gemm "
-      "/ *dispatch* body\n");
+  std::printf("darl_lint rules:\n");
+  for (const Rule& rule : kRules) {
+    std::printf("  %-24s %s\n", rule.id, rule.summary);
+  }
 }
 
 [[noreturn]] void usage(int code) {

@@ -48,17 +48,10 @@ constexpr const char* kDefaultDirs[] = {"src", "tools", "bench", "tests",
                                         "examples"};
 
 void print_rules() {
-  std::printf(
-      "darl_verify rules:\n"
-      "  guarded-field          DARL_GUARDED_BY field accessed without "
-      "holding its mutex\n"
-      "  lock-order             cycle in the global lock-acquisition graph "
-      "(static deadlock)\n"
-      "  blocking-under-lock    recv/send/accept/connect/sleep_for/join/cv "
-      "wait while a mutex is held\n"
-      "  cv-wait-no-predicate   untimed cv.wait(lk) without a predicate\n"
-      "  naked-atomic-ordering  atomic op in serve/ or obs/ without an "
-      "explicit memory_order\n");
+  std::printf("darl_verify rules:\n");
+  for (const darl::verify::Rule& rule : darl::verify::kRules) {
+    std::printf("  %-22s %s\n", rule.id, rule.summary);
+  }
 }
 
 [[noreturn]] void usage(int code) {

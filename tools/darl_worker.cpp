@@ -15,7 +15,8 @@
 //   --connect EP          learner endpoint (required)
 //   --node N              which node this actor plays, >= 1 (required)
 //   --connect-timeout S   deadline to reach the learner (default 30)
-//   --io-timeout S        per-syscall I/O timeout (default 120)
+//   --io-timeout S        bound on each send syscall and each whole
+//                         received frame (default 120)
 //
 // Learner options:
 //   --listen EP           endpoint to bind (default unix socket in /tmp)
@@ -83,7 +84,10 @@ struct CliOptions {
       "learner: [--listen EP] [--nodes N] [--cores N] [--timesteps N]\n"
       "         [--batch-total N] [--algo ppo|sac] [--seed N]\n"
       "         [--spawn-actors 0|1] [--obs-port P] [--obs-linger-s S]\n"
-      "         [--connect-timeout S] [--io-timeout S]\n");
+      "         [--connect-timeout S] [--io-timeout S]\n"
+      "\n"
+      "  --io-timeout S  bound on each send syscall and each whole received\n"
+      "                  frame, on either role (default 120)\n");
   std::exit(code);
 }
 

@@ -10,7 +10,8 @@
 // banned pattern inside a comment or a string — including the fixture
 // snippets in the linter's own tests — never counts as a finding.
 //
-// Rules (ids are what the suppression file references):
+// Rules (ids are what the suppression file references; kRules below is
+// the table darl_lint --list-rules prints):
 //   banned-random     std::rand / srand / std::random_device anywhere
 //   wall-clock        argless now() / system_clock / clock_gettime /
 //                     gettimeofday outside stopwatch/obs/log
@@ -88,6 +89,39 @@
 #include <vector>
 
 namespace darl::lint {
+
+/// One row of a tool's rule table: the id that findings and suppressions
+/// use, and the summary --list-rules prints after it.
+struct Rule {
+  const char* id;
+  const char* summary;
+};
+
+/// Every rule this engine emits, in --list-rules order.
+inline constexpr Rule kRules[] = {
+    {"banned-random", "std::rand / srand / std::random_device"},
+    {"wall-clock",
+     "argless now() / system_clock / clock_gettime / gettimeofday outside "
+     "stopwatch/obs/log"},
+    {"unordered-iter", "iteration over unordered_map/unordered_set"},
+    {"raw-new-delete", "raw new / delete expressions"},
+    {"float-literal", "float literals in ode/ linalg/ rl/ nn/"},
+    {"std-endl", "std::endl"},
+    {"pragma-once", ".hpp without #pragma once"},
+    {"catch-all", "catch (...) without rethrow or recording"},
+    {"detached-thread", "std::thread::detach()"},
+    {"thread-in-numeric-code",
+     "any std::thread use in src/darl/linalg/ or src/darl/nn/"},
+    {"heap-alloc-in-kernel",
+     "new / .resize( / .push_back( inside a DARL_KERNEL body"},
+    {"metric-name",
+     "instrument/label-key names outside [a-z0-9_.]+ (scans raw source)"},
+    {"metric-lookup-in-kernel", "registry lookup inside a DARL_KERNEL body"},
+    {"naked-socket-call", "::recv( / ::send( / ::accept( outside src/darl/net/"},
+    {"libm-call",
+     "libm's inexact functions (tanh, exp, log, ...) in src/ outside "
+     "darl/common/elementary.*"},
+};
 
 struct Finding {
   std::string rule;

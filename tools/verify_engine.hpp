@@ -17,7 +17,8 @@
 //   finale (check_lock_order): cycle-detect the merged lock graph and
 //     print each cycle as a witness path with file:line per edge.
 //
-// Rules (ids are what tools/darl_verify.supp references):
+// Rules (ids are what tools/darl_verify.supp references; kRules below is
+// the table darl_verify --list-rules prints):
 //   guarded-field         a field annotated DARL_GUARDED_BY(mu) is
 //                         accessed (bare, inside a member function of the
 //                         declaring class) without holding mu and without
@@ -64,6 +65,20 @@
 namespace darl::verify {
 
 using lint::Finding;
+using lint::Rule;
+
+/// Every rule this engine emits, in --list-rules order.
+inline constexpr Rule kRules[] = {
+    {"guarded-field",
+     "DARL_GUARDED_BY field accessed without holding its mutex"},
+    {"lock-order",
+     "cycle in the global lock-acquisition graph (static deadlock)"},
+    {"blocking-under-lock",
+     "recv/send/accept/connect/sleep_for/join/cv wait while a mutex is held"},
+    {"cv-wait-no-predicate", "untimed cv.wait(lk) without a predicate"},
+    {"naked-atomic-ordering",
+     "atomic op in serve/ or obs/ without an explicit memory_order"},
+};
 
 // ---------------------------------------------------------------------------
 // Harvested facts
